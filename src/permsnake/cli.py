@@ -59,6 +59,10 @@ from .search import (
 # Searches at n >= 6 run budgeted unless --exhaustive is given explicitly.
 DEFAULT_NODE_BUDGET = 2_000_000
 
+# verify refuses larger codes without --force, so that no request runs long:
+# the 99,225 codewords of the degree-9 Kendall snake take most of a second.
+VERIFY_CAP = 2000
+
 REPRO_TARGETS = ("ksnake5", "witness", "octal", "bounds")
 
 
@@ -98,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("kendall", "linf"),
                    help="override the metric embedded in the JSON")
     p.add_argument("--force", action="store_true",
-                   help="verify even when the pair count is large")
+                   help=f"verify codes over {VERIFY_CAP} codewords")
 
     p = sub.add_parser("search", help="depth-first search for a longest snake")
     p.add_argument("--n", type=int, required=True)
@@ -199,7 +203,12 @@ def _cmd_verify(args) -> int:
             raise ValueError(
                 "no metric: pass --metric or embed one in the code JSON"
             )
-        report = verify_snake(code, metric, force=args.force)
+        if code.size > VERIFY_CAP and not args.force:
+            raise ValueError(
+                f"code has {code.size} codewords (> {VERIFY_CAP}); "
+                "pass --force to verify it anyway"
+            )
+        report = verify_snake(code, metric)
         _emit(
             {
                 "valid": report.valid,

@@ -6,32 +6,36 @@ mapping the final codeword back to the start.  For a non-cyclic code with M
 codewords it holds M-1 transitions.
 
 verify_snake checks the strong snake property: every pair of distinct
-codewords must be at distance >= 2 in the chosen metric.  Two
-implementations exist and are compared against each other in tests: a pure
-per-pair loop (the reference) and a vectorized bulk path used for large codes.
+codewords must be at distance >= 2 in the chosen metric.  That holds exactly
+when no codeword's radius-1 ball (perm_core.NEIGHBOURS) holds another
+codeword, so the check is one dictionary lookup per ball member.  A plain
+pairwise loop remains as the test reference and as the fallback that finds
+the minimum distance of a snake with no pair at distance 2.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from math import factorial, log2
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .perm_core import (
     MAX_N,
+    NEIGHBOURS,
+    WITHIN_TWO,
     Perm,
     check_perm,
     kendall_distance,
+    kendall_neighbours,
     linf_distance,
+    perm_key,
     push_top,
 )
 
 __all__ = [
     "GrayCode",
     "SnakeReport",
-    "PAIRWISE_CAP",
     "balance_gap",
     "bfs_distance_oracle",
     "decode_code",
@@ -42,10 +46,7 @@ __all__ = [
 ]
 
 METRICS = ("kendall", "linf")
-
-# verify_snake refuses codes with more codewords than this unless force=True;
-# the pair count grows quadratically.
-PAIRWISE_CAP = 2000
+_DISTANCE = {"kendall": kendall_distance, "linf": linf_distance}
 
 
 @dataclass(frozen=True)
@@ -121,17 +122,9 @@ def expand(code: GrayCode) -> tuple[Perm, ...]:
     return tuple(words)
 
 
-def _metric_fn(metric: str) -> Callable[[Perm, Perm], int]:
-    if metric == "kendall":
-        return kendall_distance
-    if metric == "linf":
-        return linf_distance
-    raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-
-
-def _verify_pairs_python(words: tuple[Perm, ...], metric: str) -> SnakeReport:
+def _verify_pairs(words: tuple[Perm, ...], metric: str) -> SnakeReport:
     """Reference pairwise check: plain double loop, early exit on violation."""
-    dist = _metric_fn(metric)
+    dist = _DISTANCE[metric]
     best: Optional[int] = None
     m = len(words)
     for i in range(m):
@@ -145,87 +138,44 @@ def _verify_pairs_python(words: tuple[Perm, ...], metric: str) -> SnakeReport:
     return SnakeReport(True, metric, best, None)
 
 
-def _verify_pairs_numpy(words: tuple[Perm, ...], metric: str) -> SnakeReport:
-    """Vectorized pairwise check.  Same verdict and witness as the reference:
-    the witness is the lexicographically first violating pair."""
-    import numpy as np
+def _verify_words(words: tuple[Perm, ...], metric: str) -> SnakeReport:
+    """verify_snake on distinct words.
 
-    m = len(words)
-    if m < 2:
-        return SnakeReport(True, metric, None, None)
-    n = len(words[0])
-    P = np.array(words, dtype=np.int16)
-
-    if metric == "kendall":
-        # Sign vectors over value pairs: row sigma has sign(pos(u) - pos(v))
-        # for each u < v.  d(a, b) = (npairs - s_a . s_b) / 2.
-        pos = np.empty_like(P)
-        rows = np.arange(m, dtype=np.intp)[:, None]
-        pos[rows, P - 1] = np.arange(n, dtype=np.int16)[None, :]
-        iu, iv = np.triu_indices(n, k=1)
-        S = np.sign(pos[:, iu] - pos[:, iv]).astype(np.float32)
-        npairs = iu.shape[0]
-        chunk = max(1, (1 << 22) // max(1, m))
-        best = None
-        witness = None
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            G = S[lo:hi] @ S.T
-            D = (npairs - G) / 2.0
-            # mask the diagonal and the lower triangle (pairs i < j only)
-            for r in range(lo, hi):
-                D[r - lo, : r + 1] = np.inf
-            block_min = D.min() if D.size else np.inf
-            if block_min < 2:
-                bad = np.argwhere(D < 2)
-                bad = bad[np.lexsort((bad[:, 1], bad[:, 0]))]
-                i, j = int(bad[0][0]) + lo, int(bad[0][1])
-                return SnakeReport(False, metric, int(round(float(D[i - lo, j]))), (i, j))
-            if best is None or block_min < best:
-                best = block_min
-        return SnakeReport(True, metric, int(round(float(best))), None)
-
-    if metric == "linf":
-        chunk = max(1, (1 << 22) // max(1, m * n))
-        best = None
-        for lo in range(0, m, chunk):
-            hi = min(m, lo + chunk)
-            D = np.abs(P[lo:hi, None, :] - P[None, :, :]).max(axis=2)
-            for r in range(lo, hi):
-                D[r - lo, : r + 1] = np.iinfo(D.dtype).max
-            block_min = int(D.min()) if D.size else None
-            if block_min is not None and block_min < 2:
-                bad = np.argwhere(D < 2)
-                bad = bad[np.lexsort((bad[:, 1], bad[:, 0]))]
-                i, j = int(bad[0][0]) + lo, int(bad[0][1])
-                return SnakeReport(False, metric, int(D[i - lo, j]), (i, j))
-            if block_min is not None and (best is None or block_min < best):
-                best = block_min
-        return SnakeReport(True, metric, best, None)
-
-    raise ValueError(f"unknown metric {metric!r}")
-
-
-# Codes at or below this size use the pure reference path by default.
-_BULK_THRESHOLD = 256
-
-
-def verify_snake(code: GrayCode, metric: str, force: bool = False) -> SnakeReport:
-    """Exhaustive pairwise distance >= 2 check over all distinct codewords.
-
-    Codes with more than PAIRWISE_CAP codewords are refused unless force=True.
-    The report's witness, when present, is the lowest-rank violating pair.
+    A pair is at distance 1 exactly when one word lies in the other's ball,
+    so the first rank i whose ball holds a word, with the least such rank j,
+    is the lowest violating pair (j > i, or j would have turned up first).
+    One pair within distance 2 fixes a snake's minimum at 2; the pairwise
+    loop runs when the probe finds none within as many lookups as it has pairs.
     """
-    _metric_fn(metric)  # validate metric early
-    if code.size > PAIRWISE_CAP and not force:
-        raise ValueError(
-            f"code has {code.size} codewords (> {PAIRWISE_CAP}); "
-            "pass force=True to verify anyway"
-        )
-    words = expand(code)
-    if len(words) <= _BULK_THRESHOLD:
-        return _verify_pairs_python(words, metric)
-    return _verify_pairs_numpy(words, metric)
+    neighbours = NEIGHBOURS[metric]
+    index = {perm_key(w): r for r, w in enumerate(words)}
+    for i, w in enumerate(words):
+        ball = neighbours(w)
+        if not index.keys().isdisjoint(ball):
+            j = min(index[k] for k in ball if k in index)
+            return SnakeReport(False, metric, 1, (i, j))
+    budget = len(words) * (len(words) - 1) // 2
+    probe = WITHIN_TWO[metric]
+    for i, w in enumerate(words):
+        for k in probe(w):
+            budget -= 1
+            if budget < 0:
+                return _verify_pairs(words, metric)
+            if index.get(k, i) != i:
+                return SnakeReport(True, metric, 2, None)
+    return _verify_pairs(words, metric)
+
+
+def verify_snake(code: GrayCode, metric: str) -> SnakeReport:
+    """Check that every pair of distinct codewords is at distance >= 2.
+
+    The report's witness, when present, is the lowest-rank violating pair,
+    and min_pairwise_distance of a valid code is the exact minimum.  The cost
+    is one lookup per radius-1 ball member of each codeword.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
+    return _verify_words(expand(code), metric)
 
 
 def rate(code: GrayCode) -> float:
@@ -266,24 +216,12 @@ def balance_gap(code: GrayCode) -> int:
     return worst
 
 
-def _adjacent_swap_neighbors(sigma: Perm) -> Iterable[Perm]:
-    n = len(sigma)
-    for s in range(n - 1):
-        yield sigma[:s] + (sigma[s + 1], sigma[s]) + sigma[s + 2 :]
+def bfs_distance_oracle(n: int, alpha: Perm, beta: Perm) -> int:
+    """Kendall distance from alpha to beta by breadth-first search over swaps
+    of neighbouring entries (perm_core.kendall_neighbours).
 
-
-def bfs_distance_oracle(
-    n: int,
-    alpha: Perm,
-    beta: Perm,
-    neighbors: Optional[Callable[[Perm], Iterable[Perm]]] = None,
-) -> int:
-    """Graph distance from alpha to beta by breadth-first search.
-
-    The default edge relation swaps two neighbouring entries, so the result
-    equals kendall_distance; pass a different neighbors callable to measure
-    other graphs.  Deliberately independent of the closed-form metrics so the
-    two can be checked against each other.  Guarded to n <= 6.
+    Deliberately independent of the closed-form kendall_distance so the two
+    can be checked against each other.  Guarded to n <= 6.
     """
     if n > 6:
         raise ValueError("bfs_distance_oracle is capped at n <= 6")
@@ -291,22 +229,16 @@ def bfs_distance_oracle(
     beta = check_perm(beta)
     if len(alpha) != n or len(beta) != n:
         raise ValueError("permutation length does not match n")
-    if neighbors is None:
-        neighbors = _adjacent_swap_neighbors
-    if alpha == beta:
-        return 0
-    seen = {alpha}
-    frontier = deque([(alpha, 0)])
-    while frontier:
-        cur, d = frontier.popleft()
-        for nxt in neighbors(cur):
-            if nxt in seen:
-                continue
-            if nxt == beta:
-                return d + 1
-            seen.add(nxt)
-            frontier.append((nxt, d + 1))
-    raise ValueError("beta not reachable from alpha under the given edges")
+    target = perm_key(beta)
+    seen = {perm_key(alpha)}
+    frontier = [alpha]
+    d = 0
+    while target not in seen:  # the swaps connect all of S_n
+        d += 1
+        reached = {k for p in frontier for k in kendall_neighbours(p)} - seen
+        seen |= reached
+        frontier = [tuple(k.to_bytes(n, "little")) for k in reached]  # unpack keys
+    return d
 
 
 def encode_code(code: GrayCode, metric: Optional[str] = None) -> str:

@@ -223,19 +223,35 @@ def _tail_is_consecutive(n: int, sigma: Perm) -> bool:
 
 
 def rank_k(sigma: Perm) -> int:
-    """Rank of codeword sigma in build_ksnake's enumeration (0 at the start)."""
+    """Rank of codeword sigma in build_ksnake's enumeration (0 at the start).
+
+    Raises ValueError when sigma is not a codeword.
+    """
     sigma = check_perm(sigma)
     N = len(sigma)
     if N % 2 == 0 or N < 3:
         raise ValueError(f"degree must be odd and >= 3, got {N}")
+    try:
+        return _rank_k(sigma)
+    except ValueError:
+        raise ValueError(f"{sigma} is not a codeword of the degree-{N} code") from None
+
+
+def _rank_k(sigma: Perm) -> int:
+    N = len(sigma)
     if N == 3:
+        # The formula below would also rank the three odd words, which is
+        # where most non-codewords of higher degree end up.
+        if sigma not in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
+            raise ValueError(f"odd degree-3 word {sigma}")
         return (2 - sigma[1]) % 3
     n = (N - 1) // 2
     i = sigma.index(1) + 1  # 1-based position of the value 1
     j = _alphabet_index(n, sigma[i % N])
+    # _down is one-to-one on the values it keeps, so sub is a permutation
     sub = tuple(_down(n, j, sigma[(i - l - 1) % N]) for l in range(1, N - 1))
     m_small = ksnake_size(N - 2)
-    r = (rank_k(sub) - _subcode_origin(n)) % m_small
+    r = (_rank_k(sub) - _subcode_origin(n)) % m_small
     rn = (N * (r - 1) - 1 + ((i - 2) % N)) % (N * m_small)
     return N * m_small * j + rn
 

@@ -142,7 +142,7 @@ def build_linf_snake(n: int, variant: str = "odd-top") -> GrayCode:
         code = _assemble(n, odds, evens)
     else:
         code = _assemble(n, evens, odds)
-    report = verify_snake(code, "linf", force=True)
+    report = verify_snake(code, "linf")
     if not report.valid:
         raise AssertionError(
             f"assembled code failed verification at pair {report.witness}"

@@ -12,11 +12,13 @@ Conventions used across the package:
   in position n.  Valid for 2 <= k <= n.
 - n is capped at MAX_N = 20 so ranks and code sizes stay inside 64-bit range
   (20! < 2**62).
+- The closed radius-1 ball of sigma is sigma plus NEIGHBOURS[metric](sigma),
+  the perm_key of each permutation at distance 1; search and verify share it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 Perm = tuple[int, ...]
 
@@ -24,7 +26,9 @@ MAX_N = 20
 
 __all__ = [
     "MAX_N",
+    "NEIGHBOURS",
     "Perm",
+    "WITHIN_TWO",
     "check_perm",
     "compose",
     "format_perm",
@@ -34,10 +38,16 @@ __all__ = [
     "kendall_distance",
     "linf_distance",
     "parse_perm",
+    "perm_key",
     "push_bottom",
     "push_top",
     "sign",
 ]
+
+# perm_key weight of each position; swapping the entries in positions s+1
+# and s+2 changes a key by (sigma(s+2) - sigma(s+1)) * _SWAP[s].
+_WEIGHT = tuple(1 << (8 * i) for i in range(MAX_N + 1))
+_SWAP = tuple(_WEIGHT[s] - _WEIGHT[s + 1] for s in range(MAX_N))
 
 
 def identity(n: int) -> Perm:
@@ -185,6 +195,63 @@ def linf_distance(a: Perm, b: Perm) -> int:
     if len(a) != len(b):
         raise ValueError("permutations of different sizes")
     return max(abs(x - y) for x, y in zip(a, b))
+
+
+def perm_key(sigma: Perm) -> int:
+    """sigma packed into one int, entry i in byte i: a cheap dictionary key."""
+    return int.from_bytes(bytes(sigma), "little")
+
+
+def kendall_neighbours(sigma: Perm) -> list[int]:
+    """perm_key of the n-1 permutations at Kendall distance 1 from sigma:
+    the swaps of two neighbouring entries."""
+    key = perm_key(sigma)
+    return [key + (b - a) * c for a, b, c in zip(sigma, sigma[1:], _SWAP)]
+
+
+def linf_neighbours(sigma: Perm) -> list[int]:
+    """perm_key of the permutations at Chebyshev distance 1 from sigma: its
+    values relabelled by a product of disjoint swaps of adjacent values, the
+    value maps that move nothing by more than 1 (88 of them at n = 10)."""
+    weight = dict(zip(sigma, _WEIGHT))
+    # key changes of the products of swaps among the values >= v, from those
+    # among the values >= v+1 (v, v+1 unswapped) and >= v+2 (swapped)
+    deltas = rest = [0]
+    for v in range(len(sigma) - 1, 0, -1):
+        deltas, rest = deltas + [weight[v] - weight[v + 1] + d for d in rest], deltas
+    key = perm_key(sigma)
+    return [key + d for d in deltas[1:]]
+
+
+NEIGHBOURS = {"kendall": kendall_neighbours, "linf": linf_neighbours}
+
+
+def _kendall_within_two(sigma: Perm) -> Iterator[int]:
+    for s in range(len(sigma) - 1):
+        yield from kendall_neighbours(sigma[:s] + (sigma[s + 1], sigma[s]) + sigma[s + 2 :])
+
+
+def _linf_within_two(sigma: Perm) -> Iterator[int]:
+    n, key, weight = len(sigma), perm_key(sigma), dict(zip(sigma, _WEIGHT))
+
+    def maps(v: int, used: int, delta: int) -> Iterator[int]:
+        # values below v are mapped, onto the bits set in used; a value
+        # above v cannot reach v-2, so v must if nothing has
+        if v > n:
+            yield key + delta
+            return
+        forced = v > 2 and not used >> (v - 2) & 1
+        for u in (v - 2,) if forced else range(max(1, v - 1), min(n, v + 2) + 1):
+            if not used >> u & 1:
+                yield from maps(v + 1, used | 1 << u, delta + (u - v) * weight[v])
+
+    return maps(1, 0, 0)
+
+
+# perm_key of permutations within distance 2 of sigma, every one at distance
+# exactly 2 among them: two neighbouring-entry swaps (Kendall), or the value
+# maps that move nothing by more than 2 (Chebyshev).
+WITHIN_TWO = {"kendall": _kendall_within_two, "linf": _linf_within_two}
 
 
 def parse_perm(text: str) -> Perm:

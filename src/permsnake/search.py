@@ -31,7 +31,7 @@ from typing import Optional
 
 from .bounds import linf_upper, trivial_upper
 from .code_model import GrayCode, SnakeReport, expand, verify_snake
-from .perm_core import Perm, check_perm, identity, push_top, sign
+from .perm_core import NEIGHBOURS, Perm, check_perm, identity, perm_key, push_top, sign
 
 __all__ = [
     "RECORDED_OCTAL_CODES",
@@ -102,31 +102,6 @@ class SearchResult:
     nodes: int
 
 
-def _closed_ball_kendall(p: Perm) -> list[Perm]:
-    out = [p]
-    for s in range(len(p) - 1):
-        out.append(p[:s] + (p[s + 1], p[s]) + p[s + 2 :])
-    return out
-
-
-def _closed_ball_linf(p: Perm) -> list[Perm]:
-    n = len(p)
-    out: list[Perm] = []
-
-    def rec(v: int, relabel: list[int]) -> None:
-        if v > n:
-            out.append(tuple(relabel[x] for x in p))
-            return
-        rec(v + 1, relabel)
-        if v < n:
-            relabel[v], relabel[v + 1] = relabel[v + 1], relabel[v]
-            rec(v + 2, relabel)
-            relabel[v], relabel[v + 1] = relabel[v + 1], relabel[v]
-
-    rec(1, list(range(n + 1)))
-    return out
-
-
 def _branch_worker(args: tuple) -> tuple[int, Optional[tuple[int, ...]], int, bool]:
     """Explore one first-transition subtree.  Returns (best size, best
     transition sequence with closure for cyclic codes, placements, exhausted).
@@ -134,17 +109,16 @@ def _branch_worker(args: tuple) -> tuple[int, Optional[tuple[int, ...]], int, bo
     n, metric, cyclic, alphabet, start, first_t, budget = args
 
     perms = list(itertools.permutations(range(1, n + 1)))
+    # Balls come as perm_key ints; pushes stay tuples, which hash faster
+    # than they pack.
     index = {p: i for i, p in enumerate(perms)}
-    ball_fn = _closed_ball_kendall if metric == "kendall" else _closed_ball_linf
-    balls = [tuple(index[q] for q in ball_fn(p)) for p in perms]
+    key_index = dict(zip(map(perm_key, perms), range(len(perms))))
+    neighbours = NEIGHBOURS[metric]
+    balls = [(i, *map(key_index.__getitem__, neighbours(p))) for i, p in enumerate(perms)]
     moves = [tuple((t, index[push_top(t, p)]) for t in alphabet) for p in perms]
     start_idx = index[start]
-    closing = [0] * len(perms)
-    for s, p in enumerate(perms):
-        for t in alphabet:
-            if index[push_top(t, p)] == start_idx:
-                closing[s] = t
-                break
+    # the least push back to the start, 0 where there is none
+    closing = [next((t for t, nxt in mv if nxt == start_idx), 0) for mv in moves]
 
     blocked = [0] * len(perms)
     for u in balls[start_idx]:
@@ -340,7 +314,7 @@ def k5_witness_code() -> GrayCode:
 
 
 def verify_k5_witness() -> SnakeReport:
-    """Full pairwise verification of the recorded 57-codeword snake."""
+    """verify_snake under Kendall's tau on the recorded 57-codeword snake."""
     return verify_snake(k5_witness_code(), "kendall")
 
 
@@ -382,7 +356,7 @@ def extend_to_complete(code: GrayCode) -> GrayCode:
             transitions=(3, 3, 5) + rotated[: len(words) - 1],
             cyclic=False,
         )
-        report = verify_snake(result, "kendall", force=True)
+        report = verify_snake(result, "kendall")
         if not report.valid:
             raise AssertionError(
                 f"extended code failed verification at pair {report.witness}"

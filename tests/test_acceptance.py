@@ -6,8 +6,7 @@ line with its runtime (visible under ``pytest -s``).  The eleven criteria:
  1. Kendall construction sizes 3/45/1575/99225, under 1 s.
  2. Recorded degree-5 checkpoints land at their recorded ranks; column
     stitches use t_3.
- 3. Kendall snakes verify exhaustively for N in {3,5,7}; the N=9 code is
-    checked by the parity proxy (odd pushes, even codewords, all distinct).
+ 3. Kendall snakes verify exactly for N in {3,5,7,9}, minimum distance 2.
  4. Successor walks close and rank/unrank invert for N in {3,5,7}.
  5. Balance gap at most N+2 for N in {5,7,9}.
  6. Chebyshev construction sizes and validity for n in 4..10; enumeration
@@ -94,18 +93,13 @@ def test_criterion_02_recorded_degree5_checkpoints():
             time.perf_counter() - t0, 1.0)
 
 
-def test_criterion_03_kendall_validity_and_parity_proxy():
+def test_criterion_03_kendall_validity():
     t0 = time.perf_counter()
     ok = True
-    for N in (3, 5, 7):
+    for N in (3, 5, 7, 9):
         report = verify_snake(build_ksnake(N), "kendall")
         ok = ok and report.valid and report.min_pairwise_distance == 2
-    code9 = build_ksnake(9)
-    words9 = expand(code9)
-    ok = ok and all(t % 2 == 1 for t in code9.transitions)
-    ok = ok and len(set(words9)) == 99225
-    ok = ok and all(sign(w) == 1 for w in words9)
-    _report(3, "kendall snakes valid; degree-9 parity proxy", ok,
+    _report(3, "kendall snakes valid, degree 9 included", ok,
             time.perf_counter() - t0, 60.0)
 
 
@@ -139,7 +133,7 @@ def test_criterion_06_chebyshev_construction():
     for n in range(4, 11):
         code = build_linf_snake(n)
         ok = ok and code.size == linf_size(n)
-        report = verify_snake(code, "linf", force=True)
+        report = verify_snake(code, "linf")
         ok = ok and report.valid
     for n in range(4, 8):
         words = expand(build_linf_snake(n))

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, pipelines, and exit codes."""
 
+import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +205,63 @@ def test_rank_rejects_non_codeword(capsys):
         run(["rank", "--family", "linf", "--n", "4", "--perm", "[1,3,2,4]"]) == 2
     )
     assert "not a codeword" in capsys.readouterr().err
+
+
+def test_rank_rejects_kendall_non_codeword(capsys):
+    # one swap away from the codeword [5,3,1,2,4]
+    argv = ["rank", "--family", "ksnake", "--n", "5", "--perm", "[3,5,1,2,4]"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(3, 5, 1, 2, 4) is not a codeword" in captured.err
+
+
+def _gen_line(capsys, *args):
+    assert run(["gen", *args]) == 0
+    return _stdout_lines(capsys)[0]
+
+
+@pytest.mark.parametrize(
+    "gen_args, size",
+    [(("ksnake", "--n", "9"), 99225), (("linf", "--n", "10"), 3480),
+     (("linf", "--n", "10", "--variant", "even-top"), 3480)],
+    ids=["ksnake9", "linf10", "linf10_even_top"],
+)
+def test_verify_cap_requires_force(capsys, monkeypatch, gen_args, size):
+    line = _gen_line(capsys, *gen_args)
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    assert run(["verify", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(size) in captured.err and "--force" in captured.err
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    assert run(["verify", "-", "--force"]) == 0
+    report = json.loads(_stdout_lines(capsys)[0])
+    assert (report["valid"], report["min_pairwise_distance"]) == (True, 2)
+    assert report["size"] == size
+
+
+NUMPY_FREE_PIPELINE = """
+import contextlib, io, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from permsnake.cli import run
+for gen in (["ksnake", "--n", "7"], ["linf", "--n", "9"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["gen", *gen]) == 0
+    sys.stdin = io.StringIO(out.getvalue())
+    assert run(["verify", "-"]) == 0, gen
+"""
+
+
+def test_gen_verify_pipeline_runs_without_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_PIPELINE],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count('"valid":true') == 2

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsnake import code_model
 from permsnake.code_model import (
     GrayCode,
-    _verify_pairs_numpy,
-    _verify_pairs_python,
+    _verify_pairs,
+    _verify_words,
     balance_gap,
     bfs_distance_oracle,
     decode_code,
@@ -21,7 +22,10 @@ from permsnake.code_model import (
     verify_snake,
 )
 from permsnake.ksnake import build_ksnake
-from permsnake.perm_core import kendall_distance, linf_distance
+from permsnake.linf_snake import build_linf_snake
+from permsnake.perm_core import identity, kendall_distance, linf_distance
+from permsnake.rmgc import build_rmgc
+from permsnake.search import extend_to_complete, k5_witness_code, recorded_octal_code
 
 C3 = GrayCode(n=3, start=(1, 2, 3), transitions=(3, 3, 3), cyclic=True)
 
@@ -78,30 +82,71 @@ def test_verify_rejects_unknown_metric():
         verify_snake(C3, "hamming")
 
 
-def test_pairwise_cap_requires_force():
-    code = build_ksnake(9)  # 99225 codewords
-    with pytest.raises(ValueError, match="force"):
-        verify_snake(code, "kendall")
-
-
-def test_python_and_numpy_paths_agree():
+def test_ball_lookup_matches_pairwise_reference():
     cases = [
         tuple(itertools.permutations(range(1, 5)))[:40],
         expand(build_ksnake(5)),
     ]
     for words in cases:
         for metric in ("kendall", "linf"):
-            ref = _verify_pairs_python(words, metric)
-            bulk = _verify_pairs_numpy(words, metric)
-            assert ref == bulk
+            assert _verify_words(words, metric) == _verify_pairs(words, metric)
 
 
-def test_numpy_path_reports_lex_first_witness():
+def test_ball_lookup_reports_lex_first_witness():
     words = ((1, 2, 3), (2, 1, 3), (3, 1, 2), (1, 3, 2))
-    report = _verify_pairs_numpy(words, "kendall")
+    report = _verify_words(words, "kendall")
     assert not report.valid
     assert report.min_pairwise_distance == 1
     assert report.witness == (0, 1)
+    assert report == _verify_pairs(words, "kendall")
+
+
+def _fixtures():
+    """Every gen code of up to 2000 codewords and every recorded code."""
+    codes = [build_ksnake(N) for N in (3, 5, 7)]
+    codes += [
+        build_linf_snake(n, variant)
+        for n in range(4, 10)
+        for variant in ("odd-top", "even-top")
+    ]
+    codes += [build_rmgc(5).code]
+    codes += [recorded_octal_code(n) for n in (4, 5, 6)]
+    codes += [k5_witness_code(), extend_to_complete(k5_witness_code())]
+    return codes
+
+
+@pytest.mark.parametrize("metric", ["kendall", "linf"])
+def test_verify_matches_pairwise_reference_on_fixtures(metric):
+    for code in _fixtures():
+        assert code.size <= 2000
+        assert verify_snake(code, metric) == _verify_pairs(expand(code), metric)
+
+
+def test_rmgc_is_no_kendall_snake():
+    report = verify_snake(build_rmgc(5).code, "kendall")
+    assert not report.valid
+    assert report.min_pairwise_distance == 1
+
+
+@pytest.mark.parametrize("metric", ["kendall", "linf"])
+@pytest.mark.parametrize("n", [4, 7, 20])
+def test_min_distance_without_a_pair_at_distance_two(monkeypatch, metric, n):
+    # One t_n step moves every entry: both metrics put the two codewords
+    # n-1 apart, so the distance-2 probe finds nothing and the pairwise
+    # loop supplies the minimum.  At n = 20 the probe must give up after one
+    # lookup: the Chebyshev distance-2 ball there has 10,423,761 members.
+    code = GrayCode(n=n, start=identity(n), transitions=(n,), cyclic=False)
+    fallbacks = []
+
+    def counted(words, metric):
+        fallbacks.append(len(words))
+        return _verify_pairs(words, metric)
+
+    monkeypatch.setattr(code_model, "_verify_pairs", counted)
+    report = verify_snake(code, metric)
+    assert report == _verify_pairs(expand(code), metric)
+    assert report.min_pairwise_distance == n - 1
+    assert fallbacks == [2]
 
 
 def test_rate_values():
@@ -185,5 +230,8 @@ def test_random_paths_verify_on_both_routes(case):
             break
         words.append(nxt)
     words = tuple(words)
+    code = GrayCode(
+        n=n, start=start, transitions=transitions[: len(words) - 1], cyclic=False
+    )
     for metric in ("kendall", "linf"):
-        assert _verify_pairs_python(words, metric) == _verify_pairs_numpy(words, metric)
+        assert verify_snake(code, metric) == _verify_pairs(words, metric)

@@ -139,3 +139,15 @@ def test_rejects_bad_degree():
         build_ksnake(MAX_KSNAKE_N + 2)
     with pytest.raises(ValueError):
         build_ksnake(1)
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_rank_is_exact_on_the_whole_symmetric_group(N):
+    ranks = {w: r for r, w in enumerate(expand(build_ksnake(N)))}
+    for p in itertools.permutations(range(1, N + 1)):
+        if p in ranks:
+            assert rank_k(p) == ranks[p]
+            assert unrank_k((N - 1) // 2, ranks[p]) == p
+        else:
+            with pytest.raises(ValueError, match="not a codeword"):
+                rank_k(p)

@@ -84,7 +84,7 @@ def test_codes_verify_with_min_distance_two(n, variant):
 
 @pytest.mark.parametrize("n", [8, 9, 10])
 def test_large_codes_already_verified_at_build_time(n):
-    # build_linf_snake verifies internally (force=True); expanding is enough here
+    # build_linf_snake verifies internally; expanding is enough here
     code = build_linf_snake(n)
     assert len(set(expand(code))) == linf_size(n)
 

@@ -1,11 +1,15 @@
 """Permutation primitives: composition, pushes, sign, and both metrics."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permsnake.perm_core import (
     MAX_N,
+    NEIGHBOURS,
+    WITHIN_TWO,
     compose,
     format_perm,
     identity,
@@ -14,10 +18,13 @@ from permsnake.perm_core import (
     kendall_distance,
     linf_distance,
     parse_perm,
+    perm_key,
     push_bottom,
     push_top,
     sign,
 )
+
+DISTANCE = {"kendall": kendall_distance, "linf": linf_distance}
 
 perms = st.integers(min_value=1, max_value=7).flatmap(
     lambda n: st.permutations(tuple(range(1, n + 1))).map(tuple)
@@ -156,3 +163,26 @@ def test_kendall_counts_discordant_value_pairs(pair):
             if (pos_a[u] < pos_a[v]) != (pos_b[u] < pos_b[v]):
                 disc += 1
     assert kendall_distance(a, b) == disc
+
+
+@pytest.mark.parametrize("metric", ["kendall", "linf"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_balls_match_the_metric_exhaustively(metric, n):
+    group = list(itertools.permutations(range(1, n + 1)))
+    assert len({perm_key(p) for p in group}) == len(group)
+    dist = DISTANCE[metric]
+    for p in group:
+        near = {perm_key(q): dist(p, q) for q in group if dist(p, q) <= 2}
+        neighbours = NEIGHBOURS[metric](p)
+        assert len(set(neighbours)) == len(neighbours)
+        assert set(neighbours) == {k for k, d in near.items() if d == 1}
+        within = set(WITHIN_TWO[metric](p))
+        assert within <= near.keys()
+        assert {k for k, d in near.items() if d == 2} <= within
+
+
+def test_ball_sizes_at_largest_n():
+    p = tuple(range(MAX_N, 0, -1))
+    assert len(NEIGHBOURS["kendall"](p)) == MAX_N - 1
+    assert len(NEIGHBOURS["linf"](p)) == 10945  # Fibonacci(21) - 1
+    assert len(NEIGHBOURS["linf"](tuple(range(1, 11)))) == 88
