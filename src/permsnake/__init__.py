@@ -25,7 +25,6 @@ from .code_model import (
     decode_code,
     encode_code,
     expand,
-    rate,
     verify_snake,
 )
 from .ksnake import (
@@ -54,7 +53,6 @@ from .perm_core import (
     kendall_distance,
     linf_distance,
     parse_perm,
-    push_bottom,
     push_top,
     sign,
 )
@@ -113,11 +111,9 @@ __all__ = [
     "longest_snake",
     "parse_octal_code",
     "parse_perm",
-    "push_bottom",
     "push_top",
     "rank_inf",
     "rank_k",
-    "rate",
     "recorded_octal_code",
     "rmgc_rank",
     "rmgc_succ",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import factorial, log2
 from typing import Optional
 
 from .perm_core import (
@@ -41,7 +40,6 @@ __all__ = [
     "decode_code",
     "encode_code",
     "expand",
-    "rate",
     "verify_snake",
 ]
 
@@ -176,17 +174,6 @@ def verify_snake(code: GrayCode, metric: str) -> SnakeReport:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     return _verify_words(expand(code), metric)
-
-
-def rate(code: GrayCode) -> float:
-    """log2(M) / log2(n!): how much of the full symmetric group the code uses.
-
-    A single-codeword code has rate 0.0 by convention.
-    """
-    m = code.size
-    if m <= 1 or code.n <= 1:
-        return 0.0
-    return log2(m) / log2(factorial(code.n))
 
 
 def balance_gap(code: GrayCode) -> int:

@@ -8,8 +8,6 @@ Conventions used across the package:
 - compose(a, b) is the permutation i -> a(b(i)).
 - push_to_top: push_top(i, sigma) removes the element in position i and
   reinserts it in position 1.  Valid for 2 <= i <= n.
-- push_bottom(k, sigma) removes the element in position n+1-k and reinserts it
-  in position n.  Valid for 2 <= k <= n.
 - n is capped at MAX_N = 20 so ranks and code sizes stay inside 64-bit range
   (20! < 2**62).
 - The closed radius-1 ball of sigma is sigma plus NEIGHBOURS[metric](sigma),
@@ -39,7 +37,6 @@ __all__ = [
     "linf_distance",
     "parse_perm",
     "perm_key",
-    "push_bottom",
     "push_top",
     "sign",
 ]
@@ -112,21 +109,6 @@ def push_top(i: int, sigma: Perm) -> Perm:
     if not 2 <= i <= n:
         raise ValueError(f"push_top index must be in 2..{n}, got {i}")
     return (sigma[i - 1],) + sigma[: i - 1] + sigma[i:]
-
-
-def push_bottom(k: int, sigma: Perm) -> Perm:
-    """Push the element in position n+1-k to position n.
-
-    >>> push_bottom(2, (1, 2, 3, 4))
-    (1, 2, 4, 3)
-    >>> push_bottom(4, (1, 2, 3, 4))
-    (2, 3, 4, 1)
-    """
-    n = len(sigma)
-    if not 2 <= k <= n:
-        raise ValueError(f"push_bottom index must be in 2..{n}, got {k}")
-    j = n - k  # 0-based index of the element being moved
-    return sigma[:j] + sigma[j + 1 :] + (sigma[j],)
 
 
 def sign(sigma: Perm) -> int:

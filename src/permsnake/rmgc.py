@@ -11,8 +11,7 @@ needs two properties guaranteed here:
 
 The recursive builder turns each transition u of the order n-1 code into the
 block t_n, ..., t_n (n-1 times) followed by t_{n-u+1}.  Completeness and
-cyclicity are validated at build time; a brute-force Hamiltonian-cycle search
-(n <= 6) exists as a fallback and for cross-checking.
+cyclicity are validated at build time.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from functools import lru_cache
 from math import factorial
 
 from .code_model import GrayCode, expand
-from .perm_core import Perm, identity, push_top
+from .perm_core import Perm, identity
 
 __all__ = [
     "RmgcTable",
@@ -46,14 +45,14 @@ class RmgcTable:
 
 
 def _raw_transitions(n: int) -> tuple[int, ...]:
-    if n == 2:
-        return (2, 2)
-    small = _raw_transitions(n - 1)
-    out: list[int] = []
-    for u in small:
-        out.extend([n] * (n - 1))
-        out.append(n - u + 1)
-    return tuple(out)
+    transitions: tuple[int, ...] = (2, 2)
+    for m in range(3, n + 1):
+        out: list[int] = []
+        for u in transitions:
+            out.extend([m] * (m - 1))
+            out.append(m - u + 1)
+        transitions = tuple(out)
+    return transitions
 
 
 def _canonicalize(transitions: tuple[int, ...]) -> tuple[int, ...]:
@@ -76,41 +75,6 @@ def _validate(n: int, code: GrayCode) -> tuple[tuple[Perm, ...], dict[Perm, int]
     return words, {w: r for r, w in enumerate(words)}
 
 
-def _search_transitions(n: int) -> tuple[int, ...]:
-    """Exhaustive Hamiltonian-cycle fallback, n <= 6.  First cycle in
-    lexicographic transition order wins, so the result is deterministic."""
-    if n > 6:
-        raise ValueError("fallback search is capped at n <= 6")
-    total = factorial(n)
-    start = identity(n)
-    path: list[int] = []
-    seen = {start}
-    cur = start
-
-    def dfs(cur: Perm) -> bool:
-        if len(seen) == total:
-            for t in range(2, n + 1):
-                if push_top(t, cur) == start:
-                    path.append(t)
-                    return True
-            return False
-        for t in range(2, n + 1):
-            nxt = push_top(t, cur)
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            path.append(t)
-            if dfs(nxt):
-                return True
-            path.pop()
-            seen.remove(nxt)
-        return False
-
-    if not dfs(cur):
-        raise ValueError(f"no complete cyclic code found for n={n}")
-    return tuple(path)
-
-
 @lru_cache(maxsize=None)
 def build_rmgc(n: int) -> RmgcTable:
     """Complete cyclic code over S_n in canonical form, 1 <= n <= 8.
@@ -122,14 +86,9 @@ def build_rmgc(n: int) -> RmgcTable:
     if n == 1:
         code = GrayCode(n=1, start=(1,), transitions=(), cyclic=False)
         return RmgcTable(1, code, ((1,),), {(1,): 0})
-    try:
-        transitions = _canonicalize(_raw_transitions(n))
-        code = GrayCode(n=n, start=identity(n), transitions=transitions, cyclic=True)
-        words, index = _validate(n, code)
-    except ValueError:
-        transitions = _canonicalize(_search_transitions(n))
-        code = GrayCode(n=n, start=identity(n), transitions=transitions, cyclic=True)
-        words, index = _validate(n, code)
+    transitions = _canonicalize(_raw_transitions(n))
+    code = GrayCode(n=n, start=identity(n), transitions=transitions, cyclic=True)
+    words, index = _validate(n, code)
     return RmgcTable(n, code, words, index)
 
 

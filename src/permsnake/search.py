@@ -1,7 +1,8 @@
 """Depth-first search for maximal snakes, plus recorded search results.
 
-The search walks push-to-top extensions from a fixed start permutation,
-keeping a blocked-counter over the whole symmetric group: placing a codeword
+The search walks push-to-top extensions from a fixed start permutation with
+an explicit stack, over tables of S_n built once per call, keeping a
+blocked-counter over the whole symmetric group: placing a codeword
 increments every state in its closed radius-1 ball, so a candidate extension
 is legal exactly when its counter is zero.  Transitions are tried in
 ascending index order, which makes the first maximal code found the
@@ -25,9 +26,11 @@ that extends it to a non-cyclic code covering all of A_5.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
+from typing import Iterator, Optional
 
 from .bounds import linf_upper, trivial_upper
 from .code_model import GrayCode, SnakeReport, expand, verify_snake
@@ -102,80 +105,100 @@ class SearchResult:
     nodes: int
 
 
-def _branch_worker(args: tuple) -> tuple[int, Optional[tuple[int, ...]], int, bool]:
-    """Explore one first-transition subtree.  Returns (best size, best
-    transition sequence with closure for cyclic codes, placements, exhausted).
-    Module-level so worker processes can import it."""
-    n, metric, cyclic, alphabet, start, first_t, budget = args
+@dataclass(frozen=True)
+class _Tables:
+    """The S_n tables of one search, over the spec's sorted alphabet."""
 
-    perms = list(itertools.permutations(range(1, n + 1)))
+    balls: list[tuple[int, ...]]  # closed radius-1 ball of each state
+    moves: list[tuple[tuple[int, int], ...]]  # (t, push_top(t, state)) per t
+    closers: tuple[tuple[int, int], ...]  # (t, the state t pushes to the start) per t
+    start: int
+
+
+def _build_tables(spec: SearchSpec) -> _Tables:
+    perms = list(itertools.permutations(range(1, spec.n + 1)))
     # Balls come as perm_key ints; pushes stay tuples, which hash faster
     # than they pack.
     index = {p: i for i, p in enumerate(perms)}
     key_index = dict(zip(map(perm_key, perms), range(len(perms))))
-    neighbours = NEIGHBOURS[metric]
+    neighbours = NEIGHBOURS[spec.metric]
     balls = [(i, *map(key_index.__getitem__, neighbours(p))) for i, p in enumerate(perms)]
-    moves = [tuple((t, index[push_top(t, p)]) for t in alphabet) for p in perms]
-    start_idx = index[start]
-    # the least push back to the start, 0 where there is none
-    closing = [next((t for t, nxt in mv if nxt == start_idx), 0) for mv in moves]
+    alphabet = spec.allowed_transitions
+    # push_top(t, p) takes p's entries in the order that push_top(t, ·) puts
+    # the positions 0..n-1 in.
+    pushes = [itemgetter(*push_top(t, tuple(range(spec.n)))) for t in alphabet]
+    targets = [list(map(index.__getitem__, map(push, perms))) for push in pushes]
+    moves = [tuple(zip(alphabet, row)) for row in zip(*targets)]
+    # t pushes s[1:t] + s[:1] + s[t:] to s, and no other state.
+    s = spec.start
+    closers = tuple((t, index[s[1:t] + s[:1] + s[t:]]) for t in alphabet)
+    return _Tables(balls, moves, closers, index[s])
 
-    blocked = [0] * len(perms)
-    for u in balls[start_idx]:
+
+def _explore(
+    tables: _Tables, cyclic: bool, first: int, offset: int, budget: Optional[int]
+) -> tuple[int, Optional[tuple[int, ...]], int, bool]:
+    """Search one branch: the codes whose first push is the alphabet's entry
+    number first and whose pushes all come from the alphabet's suffix at
+    offset.  Returns (best size, best transition sequence with closure for
+    cyclic codes, placements, exhausted)."""
+    balls = tables.balls
+    moves = tables.moves if offset == 0 else [mv[offset:] for mv in tables.moves]
+    closing = [0] * len(balls)  # the push back to the start, 0 where there is none
+    for t, state in tables.closers[offset:]:
+        closing[state] = t
+    blocked = [0] * len(balls)
+    for u in balls[tables.start]:
         blocked[u] += 1
-
-    first_idx = index[push_top(first_t, start)]
-    if blocked[first_idx]:
-        return 0, None, 0, True
-
+    # The budget is checked before each placement but the first, which a
+    # branch always makes.
+    limit = math.inf if budget is None else max(budget, 1)
     best_size = 0
     best_trans: Optional[tuple[int, ...]] = None
-    path: list[int] = [first_t]
     nodes = 0
-    exhausted = True
-
-    for u in balls[first_idx]:
-        blocked[u] += 1
-    nodes += 1
-
-    def record(cur: int) -> None:
-        nonlocal best_size, best_trans
-        if cyclic:
-            ct = closing[cur]
-            if ct and len(path) + 1 > best_size:
-                best_size = len(path) + 1
-                best_trans = tuple(path) + (ct,)
+    # One entry (state, the push that reached it, the untried siblings) per
+    # placed state; children iterates the top state's untried pushes.
+    stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
+    children = iter(tables.moves[tables.start][first : first + 1])
+    while True:
+        for t, nxt in children:
+            if not blocked[nxt]:
+                break
         else:
-            if len(path) + 1 > best_size:
-                best_size = len(path) + 1
-                best_trans = tuple(path)
-
-    class _Budget(Exception):
-        pass
-
-    def dfs(cur: int) -> None:
-        nonlocal nodes
-        record(cur)
-        for t, nxt in moves[cur]:
-            if blocked[nxt]:
-                continue
-            if budget is not None and nodes >= budget:
-                raise _Budget
-            nodes += 1
-            path.append(t)
-            bn = balls[nxt]
-            for u in bn:
-                blocked[u] += 1
-            dfs(nxt)
-            for u in bn:
+            if not stack:
+                return best_size, best_trans, nodes, True
+            state, _, children = stack.pop()
+            for u in balls[state]:
                 blocked[u] -= 1
-            path.pop()
+            continue
+        if nodes >= limit:
+            return best_size, best_trans, nodes, False
+        nodes += 1
+        for u in balls[nxt]:
+            blocked[u] += 1
+        stack.append((nxt, t, children))
+        children = iter(moves[nxt])
+        # the code through the placed states has len(stack) + 1 codewords
+        if len(stack) >= best_size and (closing[nxt] or not cyclic):
+            best_size = len(stack) + 1
+            best_trans = tuple(entry[1] for entry in stack)
+            if cyclic:
+                best_trans += (closing[nxt],)
 
-    try:
-        dfs(first_idx)
-    except _Budget:
-        exhausted = False
-    return best_size, best_trans, nodes, exhausted
+
+# Worker processes build their tables once, in the pool's initializer.
+_worker_tables: Optional[_Tables] = None
+
+
+def _init_worker(spec: SearchSpec) -> None:
+    global _worker_tables
+    _worker_tables = _build_tables(spec)
+
+
+def _explore_in_worker(
+    branch: tuple,
+) -> tuple[int, Optional[tuple[int, ...]], int, bool]:
+    return _explore(_worker_tables, *branch)
 
 
 def _metric_bound(metric: str, n: int) -> int:
@@ -191,28 +214,30 @@ def longest_snake(spec: SearchSpec, jobs: int = 1) -> SearchResult:
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    allowed = spec.allowed_transitions
+    # A cyclic Kendall branch keeps to the pushes from its first on (module
+    # docstring); the node budget is shared evenly over the branches.
     split_on_min = spec.metric == "kendall" and spec.cyclic
-
-    branches: list[tuple] = []
-    for f in allowed:
-        alphabet = tuple(t for t in allowed if t >= f) if split_on_min else allowed
-        branches.append(
-            (spec.n, spec.metric, spec.cyclic, alphabet, spec.start, f, None)
+    b, budget = len(spec.allowed_transitions), spec.node_budget
+    branches = [
+        (
+            spec.cyclic,
+            f,
+            f if split_on_min else 0,
+            None if budget is None else budget // b + (1 if f < budget % b else 0),
         )
-    if spec.node_budget is not None:
-        b = len(branches)
-        shares = [
-            spec.node_budget // b + (1 if i < spec.node_budget % b else 0)
-            for i in range(b)
-        ]
-        branches = [br[:-1] + (shares[i],) for i, br in enumerate(branches)]
+        for f in range(b)
+    ]
 
     if jobs == 1:
-        outcomes = [_branch_worker(br) for br in branches]
+        tables = _build_tables(spec)
+        outcomes = [_explore(tables, *br) for br in branches]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_branch_worker, branches))
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(branches)),
+            initializer=_init_worker,
+            initargs=(spec,),
+        ) as pool:
+            outcomes = list(pool.map(_explore_in_worker, branches))
 
     if spec.cyclic:
         best_size, best_trans = 0, None

@@ -141,6 +141,15 @@ def test_search_budget_flag(capsys):
     assert obj["nodes"] <= 1000
 
 
+def test_search_long_budgeted_path(capsys, shallow_stack):
+    argv = ["search", "--n", "7", "--metric", "kendall", "--transitions", "3,5,7",
+            "--budget", "20000"]
+    assert run(argv) == 0
+    (line,) = _stdout_lines(capsys)
+    obj = json.loads(line)
+    assert obj["size"] == len(obj["best"]["transitions"])
+
+
 def test_search_exhaustive_and_budget_conflict(capsys):
     assert (
         run(

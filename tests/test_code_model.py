@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,6 @@ from permsnake.code_model import (
     decode_code,
     encode_code,
     expand,
-    rate,
     verify_snake,
 )
 from permsnake.ksnake import build_ksnake
@@ -147,12 +145,6 @@ def test_min_distance_without_a_pair_at_distance_two(monkeypatch, metric, n):
     assert report == _verify_pairs(expand(code), metric)
     assert report.min_pairwise_distance == n - 1
     assert fallbacks == [2]
-
-
-def test_rate_values():
-    assert rate(C3) == pytest.approx(math.log2(3) / math.log2(6))
-    single = GrayCode(n=2, start=(1, 2), transitions=(), cyclic=False)
-    assert rate(single) == 0.0
 
 
 def test_balance_gap_c3_is_three():

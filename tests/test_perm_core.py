@@ -19,7 +19,6 @@ from permsnake.perm_core import (
     linf_distance,
     parse_perm,
     perm_key,
-    push_bottom,
     push_top,
     sign,
 )
@@ -61,20 +60,6 @@ def test_push_top_examples():
         push_top(1, (1, 2, 3))
     with pytest.raises(ValueError):
         push_top(4, (1, 2, 3))
-
-
-def test_push_bottom_examples():
-    assert push_bottom(2, (1, 2, 3, 4)) == (1, 2, 4, 3)
-    assert push_bottom(4, (1, 2, 3, 4)) == (2, 3, 4, 1)
-
-
-@given(perms, st.integers(min_value=2, max_value=7))
-def test_push_bottom_mirrors_push_top(p, k):
-    n = len(p)
-    if n < 2:
-        return
-    k = (k - 2) % (n - 1) + 2
-    assert push_bottom(k, p) == tuple(reversed(push_top(k, tuple(reversed(p)))))
 
 
 @given(perms)

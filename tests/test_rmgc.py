@@ -8,7 +8,6 @@ from permsnake.code_model import expand
 from permsnake.perm_core import push_top
 from permsnake.rmgc import (
     MAX_RMGC_N,
-    _search_transitions,
     build_rmgc,
     rmgc_rank,
     rmgc_succ,
@@ -77,17 +76,3 @@ def test_rank_rejects_foreign_word():
     table = build_rmgc(3)
     with pytest.raises(ValueError):
         rmgc_rank(table, (1, 2, 4))
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_search_fallback_finds_valid_cycle(n):
-    transitions = _search_transitions(n)
-    assert len(transitions) == math.factorial(n)
-    sigma = tuple(range(1, n + 1))
-    seen = {sigma}
-    for t in transitions[:-1]:
-        sigma = push_top(t, sigma)
-        assert sigma not in seen
-        seen.add(sigma)
-    assert push_top(transitions[-1], sigma) == tuple(range(1, n + 1))
-    assert len(seen) == math.factorial(n)

@@ -142,11 +142,14 @@ def test_tiny_budget_is_not_proven_optimal():
         assert verify_snake(r.best, "kendall").valid
 
 
-def test_budget_shares_are_deterministic():
-    spec = SearchSpec(n=5, metric="linf", node_budget=2000)
-    a = longest_snake(spec, jobs=1)
-    b = longest_snake(spec, jobs=2)
-    assert (a.size, a.best, a.nodes) == (b.size, b.best, b.nodes)
+def test_budget_shares_are_deterministic(shallow_stack):
+    for spec in (
+        SearchSpec(n=5, metric="linf", node_budget=2000),
+        SearchSpec(n=7, metric="kendall", allowed_transitions=(3, 5, 7), node_budget=20000),
+    ):
+        a = longest_snake(spec, jobs=1)
+        b = longest_snake(spec, jobs=2)
+        assert (a.size, a.best, a.nodes) == (b.size, b.best, b.nodes)
 
 
 def test_search_spec_validation():
@@ -171,4 +174,62 @@ def test_non_identity_start():
     r = longest_snake(spec)
     assert r.best.start == (4, 3, 2, 1)
     assert r.size == 8
+    assert verify_snake(r.best, "kendall").valid
+
+
+# (spec, size, nodes, proven_optimal, transitions): the try order, the point
+# of the budget check and the even budget shares fix all four.  The Kendall
+# start is not the identity.
+PINNED = [
+    (
+        SearchSpec(n=6, metric="kendall", node_budget=50000),
+        32, 30005, False,
+        "33434345334343453343434533434345",
+    ),
+    (
+        SearchSpec(n=6, metric="linf", allowed_transitions=(5, 6), node_budget=20000),
+        90, 20000, True,
+        "555565565655565565655565666565655665665565656565665565656565566565566665666566655666655666",
+    ),
+    (SearchSpec(n=7, metric="linf", node_budget=20000), 3, 16666, False, "333"),
+    (
+        SearchSpec(n=5, metric="linf", node_budget=2000),
+        20, 1500, False,
+        "33425253545453543355",
+    ),
+    (
+        SearchSpec(
+            n=5, metric="kendall", allowed_transitions=(3, 5),
+            start=(3, 1, 5, 2, 4), node_budget=2000,
+        ),
+        33, 1004, False,
+        "335335353353533535335533533535555",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, size, nodes, proven, transitions",
+    PINNED,
+    ids=["kendall6_b50000", "linf6_p56_b20000", "linf7_b20000", "linf5_b2000",
+         "kendall5_p35_b2000_start31524"],
+)
+def test_pinned_search_results(spec, size, nodes, proven, transitions):
+    r = longest_snake(spec)
+    assert (r.size, r.nodes, r.proven_optimal) == (size, nodes, proven)
+    assert r.best.start == spec.start
+    assert r.best.transitions == tuple(map(int, transitions))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(n=7, metric="kendall", allowed_transitions=(3, 5, 7), node_budget=20000),
+        SearchSpec(n=8, metric="kendall", node_budget=20000),
+    ],
+    ids=["kendall7_p357_b20000", "kendall8_b20000"],
+)
+def test_long_paths_need_no_deep_stack(shallow_stack, spec):
+    r = longest_snake(spec)
+    assert r.nodes <= 20000
     assert verify_snake(r.best, "kendall").valid
