@@ -21,7 +21,6 @@ from .code_model import (
     GrayCode,
     SnakeReport,
     balance_gap,
-    bfs_distance_oracle,
     decode_code,
     encode_code,
     expand,
@@ -36,7 +35,6 @@ from .ksnake import (
     unrank_k,
 )
 from .linf_snake import (
-    build_block,
     build_linf_snake,
     linf_size,
     rank_inf,
@@ -45,10 +43,8 @@ from .linf_snake import (
 )
 from .perm_core import (
     MAX_N,
-    compose,
     format_perm,
     identity,
-    inverse,
     is_perm,
     kendall_distance,
     linf_distance,
@@ -67,7 +63,6 @@ from .search import (
     longest_snake,
     parse_octal_code,
     recorded_octal_code,
-    verify_k5_witness,
 )
 
 __version__ = "0.1.0"
@@ -83,14 +78,11 @@ __all__ = [
     "SearchSpec",
     "SnakeReport",
     "balance_gap",
-    "bfs_distance_oracle",
     "bounds_row",
     "bounds_table",
-    "build_block",
     "build_ksnake",
     "build_linf_snake",
     "build_rmgc",
-    "compose",
     "decode_code",
     "emit_octal_code",
     "encode_code",
@@ -99,7 +91,6 @@ __all__ = [
     "extend_to_complete",
     "format_perm",
     "identity",
-    "inverse",
     "is_perm",
     "k5_witness_code",
     "kendall_distance",
@@ -124,6 +115,5 @@ __all__ = [
     "trivial_upper",
     "unrank_inf",
     "unrank_k",
-    "verify_k5_witness",
     "verify_snake",
 ]

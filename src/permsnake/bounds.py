@@ -19,6 +19,7 @@ from .linf_snake import MIN_LINF_N, linf_size
 
 __all__ = [
     "BoundsRow",
+    "bounds_row",
     "bounds_table",
     "even_push_upper",
     "ksnake_density",
@@ -36,7 +37,14 @@ def trivial_upper(n: int) -> int:
 
 
 def even_push_upper(n: int) -> int:
-    """Sharper Kendall bound: floor(n!/2 - C(floor(n/2)-1, 2)/(n-1))."""
+    """floor(n!/2 - C(floor(n/2)-1, 2)/(n-1)), the table's even_push_upper.
+
+    This is not an upper bound on every Kendall snake: Holroyd (IEEE T-IT
+    63(1), 2017; arXiv:1602.08073) builds Kendall snakes of size n!/2 for
+    every odd n != 5, while even_push_upper(7) = 2519 < 2520.  The class of
+    snakes it bounds (the name suggests snakes that use an even push) is
+    still to be stated from the source paper.
+    """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     value = Fraction(factorial(n), 2) - Fraction(comb(n // 2 - 1, 2), n - 1)
@@ -82,6 +90,7 @@ def _rate(m: int, n: int) -> float:
 
 
 def bounds_row(n: int) -> BoundsRow:
+    """The bounds_table row for one n, 2 <= n <= 20."""
     if not 2 <= n <= MAX_N:
         raise ValueError(f"n must be in 2..{MAX_N}, got {n}")
     k_size = k_density = k_rate = None

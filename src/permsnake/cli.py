@@ -8,35 +8,13 @@ verification or a repro check failed, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
-from .bounds import (
-    BoundsRow,
-    bounds_table,
-    even_push_upper,
-    ksnake_density,
-    linf_upper,
-    trivial_upper,
-)
-from .code_model import (
-    GrayCode,
-    balance_gap,
-    decode_code,
-    encode_code,
-    expand,
-    verify_snake,
-)
-from .ksnake import (
-    RECORDED_K5_CHECKPOINTS,
-    build_ksnake,
-    rank_k,
-    successor_k,
-    unrank_k,
-)
+from .bounds import BoundsRow, bounds_table
+from .code_model import GrayCode, decode_code, encode_code, verify_snake
+from .ksnake import build_ksnake, rank_k, successor_k, unrank_k
 from .linf_snake import (
     VARIANTS,
     build_linf_snake,
@@ -44,17 +22,10 @@ from .linf_snake import (
     successor_inf,
     unrank_inf,
 )
-from .perm_core import format_perm, parse_perm, sign
+from .perm_core import format_perm, parse_perm
+from .repro import REPRO_CHECKS
 from .rmgc import build_rmgc
-from .search import (
-    RECORDED_OCTAL_CODES,
-    SearchSpec,
-    emit_octal_code,
-    extend_to_complete,
-    k5_witness_code,
-    longest_snake,
-    parse_octal_code,
-)
+from .search import SearchSpec, longest_snake
 
 # Searches at n >= 6 run budgeted unless --exhaustive is given explicitly.
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -63,7 +34,7 @@ DEFAULT_NODE_BUDGET = 2_000_000
 # the 99,225 codewords of the degree-9 Kendall snake take most of a second.
 VERIFY_CAP = 2000
 
-REPRO_TARGETS = ("ksnake5", "witness", "octal", "bounds")
+REPRO_TARGETS = tuple(REPRO_CHECKS)
 
 
 def _emit(obj) -> None:
@@ -319,103 +290,14 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-class _Checks:
-    def __init__(self) -> None:
-        self.total = 0
-        self.failed = 0
-
-    def check(self, name: str, ok: bool) -> None:
-        self.total += 1
-        if not ok:
-            self.failed += 1
-        _note(f"{'ok  ' if ok else 'FAIL'} {name}")
-
-    def summary(self, target: str) -> int:
-        _emit(
-            {
-                "target": target,
-                "checks": self.total,
-                "failed": self.failed,
-                "ok": self.failed == 0,
-            }
-        )
-        return 0 if self.failed == 0 else 1
-
-
-def _repro_ksnake5(c: _Checks) -> None:
-    code = build_ksnake(5)
-    words = expand(code)
-    c.check("degree-5 code has 45 codewords", len(words) == 45)
-    for r, perm in RECORDED_K5_CHECKPOINTS:
-        c.check(f"rank {r} is {format_perm(perm)}", words[r] == perm)
-    c.check(
-        "segment stitches at ranks 14, 29, 44 use t_3",
-        all(code.transitions[15 * k + 14] == 3 for k in range(3)),
-    )
-    c.check("kendall verification", verify_snake(code, "kendall").valid)
-    c.check("balance gap <= 7", balance_gap(code) <= 7)
-
-
-def _repro_witness(c: _Checks) -> None:
-    code = k5_witness_code()
-    words = expand(code)
-    c.check("57 distinct codewords, cyclic", len(set(words)) == 57)
-    c.check("all codewords even", all(sign(w) == 1 for w in words))
-    report = verify_snake(code, "kendall")
-    c.check("kendall verification", report.valid)
-    evens = {p for p in itertools.permutations(range(1, 6)) if sign(p) == 1}
-    complement = sorted(evens - set(words))
-    c.check("complement has 3 permutations", len(complement) == 3)
-    c.check(
-        "complement agrees at coordinates 4 and 5",
-        len({w[3] for w in complement}) == 1 and len({w[4] for w in complement}) == 1,
-    )
-    extended = extend_to_complete(code)
-    ew = expand(extended)
-    c.check("extension is non-cyclic with 60 codewords",
-            not extended.cyclic and len(ew) == 60)
-    c.check("extension covers the alternating group", set(ew) == evens)
-    c.check("extension starts with t_3 t_3 t_5", extended.transitions[:3] == (3, 3, 5))
-
-
-def _repro_octal(c: _Checks) -> None:
-    for n, digits in sorted(RECORDED_OCTAL_CODES.items()):
-        code = parse_octal_code(n, digits)
-        c.check(f"n={n}: size {3 * len(digits)}", code.size == 3 * len(digits))
-        c.check(f"n={n}: valid linf snake", verify_snake(code, "linf").valid)
-        c.check(f"n={n}: octal round-trip", emit_octal_code(code) == digits)
-
-
-def _repro_bounds(c: _Checks) -> None:
-    c.check("even-push bound at 5/7/9 is 60/2519/181439",
-            (even_push_upper(5), even_push_upper(7), even_push_upper(9))
-            == (60, 2519, 181439))
-    c.check("linf bound at 4..7 is 6/30/90/630",
-            tuple(linf_upper(n) for n in range(4, 8)) == (6, 30, 90, 630))
-    c.check("densities 1/2 and 3/8",
-            (ksnake_density(3), ksnake_density(5))
-            == (Fraction(1, 2), Fraction(3, 8)))
-    c.check(
-        "density ratio recursion up to degree 19",
-        all(
-            ksnake_density(2 * n + 1) / ksnake_density(2 * n - 1)
-            == Fraction(2 * n - 1, 2 * n)
-            for n in range(2, 10)
-        ),
-    )
-    c.check("recorded 57 within the trivial degree-5 bound",
-            57 <= trivial_upper(5) == 60)
-
-
 def _cmd_repro(args) -> int:
-    c = _Checks()
-    {
-        "ksnake5": _repro_ksnake5,
-        "witness": _repro_witness,
-        "octal": _repro_octal,
-        "bounds": _repro_bounds,
-    }[args.target](c)
-    return c.summary(args.target)
+    total = failed = 0
+    for name, ok in REPRO_CHECKS[args.target]():
+        total += 1
+        failed += not ok
+        _note(f"{'ok  ' if ok else 'FAIL'} {name}")
+    _emit({"target": args.target, "checks": total, "failed": failed, "ok": failed == 0})
+    return 0 if failed == 0 else 1
 
 
 _HANDLERS = {

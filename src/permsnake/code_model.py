@@ -1,4 +1,4 @@
-"""Gray-code containers, the snake verifier, and the BFS distance oracle.
+"""Gray-code containers and the snake verifier.
 
 A code is stored as a start permutation plus a tuple of push-to-top indices.
 For a cyclic code with M codewords the tuple holds M transitions, the last one
@@ -26,7 +26,6 @@ from .perm_core import (
     Perm,
     check_perm,
     kendall_distance,
-    kendall_neighbours,
     linf_distance,
     perm_key,
     push_top,
@@ -36,7 +35,6 @@ __all__ = [
     "GrayCode",
     "SnakeReport",
     "balance_gap",
-    "bfs_distance_oracle",
     "decode_code",
     "encode_code",
     "expand",
@@ -201,31 +199,6 @@ def balance_gap(code: GrayCode) -> int:
                 gap = m
             worst = max(worst, gap)
     return worst
-
-
-def bfs_distance_oracle(n: int, alpha: Perm, beta: Perm) -> int:
-    """Kendall distance from alpha to beta by breadth-first search over swaps
-    of neighbouring entries (perm_core.kendall_neighbours).
-
-    Deliberately independent of the closed-form kendall_distance so the two
-    can be checked against each other.  Guarded to n <= 6.
-    """
-    if n > 6:
-        raise ValueError("bfs_distance_oracle is capped at n <= 6")
-    alpha = check_perm(alpha)
-    beta = check_perm(beta)
-    if len(alpha) != n or len(beta) != n:
-        raise ValueError("permutation length does not match n")
-    target = perm_key(beta)
-    seen = {perm_key(alpha)}
-    frontier = [alpha]
-    d = 0
-    while target not in seen:  # the swaps connect all of S_n
-        d += 1
-        reached = {k for p in frontier for k in kendall_neighbours(p)} - seen
-        seen |= reached
-        frontier = [tuple(k.to_bytes(n, "little")) for k in reached]  # unpack keys
-    return d
 
 
 def encode_code(code: GrayCode, metric: Optional[str] = None) -> str:

@@ -23,14 +23,12 @@ adjusted so that all three functions match the expansion exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .code_model import GrayCode
 from .perm_core import Perm, check_perm, identity, push_top, sign
 
 __all__ = [
-    "KsnakeParams",
     "RECORDED_K5_CHECKPOINTS",
     "build_ksnake",
     "ksnake_size",
@@ -44,8 +42,8 @@ MAX_KSNAKE_N = 9
 # Recorded checkpoints of the degree-5 code: each 15-codeword segment is
 # pinned at offsets 0, 3, 4, 8, 9, 13, 14 (segment heads, the codewords
 # around each interior push-3, and the two codewords before the stitch).
-# The repro machinery and the acceptance suite compare build_ksnake(5)
-# against these rank/permutation pairs bit for bit.
+# permsnake.repro compares build_ksnake(5) against these rank/permutation
+# pairs bit for bit.
 RECORDED_K5_CHECKPOINTS: tuple[tuple[int, tuple[int, ...]], ...] = (
     (0, (5, 3, 1, 2, 4)),
     (3, (1, 2, 4, 5, 3)),
@@ -79,30 +77,6 @@ def ksnake_size(N: int) -> int:
     for k in range(5, N + 1, 2):
         m *= (k - 2) * k
     return m
-
-
-@dataclass(frozen=True)
-class KsnakeParams:
-    """Fixed data of the degree-N = 2n+1 construction.
-
-    a lists the top-cycle alphabet [N] minus {1, 3} in construction order
-    (a_0 = 2, a_i = i+3); ind is its inverse; origin is the rank, in this
-    package's enumeration of the degree N-2 code, of the codeword the
-    recursion enters the subcode at.
-    """
-
-    N: int
-    n: int
-    a: tuple[int, ...]
-    origin: int
-
-    @staticmethod
-    def for_degree(N: int) -> "KsnakeParams":
-        if N < 3 or N % 2 == 0:
-            raise ValueError(f"N must be odd and >= 3, got {N}")
-        n = (N - 1) // 2
-        a = tuple(2 if i == 0 else i + 3 for i in range(2 * n - 1))
-        return KsnakeParams(N=N, n=n, a=a, origin=_subcode_origin(n))
 
 
 def _alphabet_value(n: int, i: int) -> int:
@@ -176,11 +150,9 @@ def build_ksnake(N: int) -> GrayCode:
         segment.extend([N] * (2 * n))
     segment.extend((3, 3))
     start = push_top(N, push_top(3, identity(N)))
-    params = KsnakeParams.for_degree(N)
+    a = [_alphabet_value(n, i) for i in range(2 * n - 1)]
     for c in range(2 * n - 1):
-        head = (1, params.a[c], 3) + tuple(
-            params.a[(c + t) % (2 * n - 1)] for t in range(1, 2 * n - 1)
-        )
+        head = (1, a[c], 3) + tuple(a[(c + t) % (2 * n - 1)] for t in range(1, 2 * n - 1))
         if sign(head) != 1:
             raise AssertionError(f"cycle head {head} is odd; construction broken")
     return GrayCode(n=N, start=start, transitions=tuple(segment) * (2 * n - 1), cyclic=True)

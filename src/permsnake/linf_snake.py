@@ -21,18 +21,15 @@ expanding it; rank 0 is the stored start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
 from .code_model import GrayCode, verify_snake
 from .perm_core import Perm, check_perm
-from .rmgc import RmgcTable, build_rmgc, rmgc_rank, rmgc_succ, rmgc_unrank
+from .rmgc import build_rmgc, rmgc_rank, rmgc_succ, rmgc_unrank
 
 __all__ = [
-    "LinfParams",
     "VARIANTS",
-    "build_block",
     "build_linf_snake",
     "linf_size",
     "rank_inf",
@@ -46,31 +43,6 @@ MIN_LINF_N = 4
 MAX_LINF_N = 10
 
 
-@dataclass(frozen=True)
-class LinfParams:
-    """Parameter bundle for length n: the odd/even splits and the two
-    rotation-code tables driving the walk (outer glue and block interior)."""
-
-    n: int
-    p: int
-    q: int
-    odd_code: RmgcTable
-    even_code: RmgcTable
-    variant: str
-
-    @staticmethod
-    def for_length(n: int, variant: str = "odd-top") -> "LinfParams":
-        if not MIN_LINF_N <= n <= MAX_LINF_N:
-            raise ValueError(f"n must be in {MIN_LINF_N}..{MAX_LINF_N}, got {n}")
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-        p = (n + 1) // 2
-        q = n // 2
-        if variant == "odd-top":
-            return LinfParams(n, p, q, build_rmgc(p), build_rmgc(q - 1), variant)
-        return LinfParams(n, p, q, build_rmgc(q), build_rmgc(p - 1), variant)
-
-
 def linf_size(n: int, variant: str = "odd-top") -> int:
     """Codeword count of build_linf_snake(n, variant)."""
     if variant not in VARIANTS:
@@ -80,33 +52,6 @@ def linf_size(n: int, variant: str = "odd-top") -> int:
     if variant == "odd-top":
         return factorial(p) * (q + factorial(q - 1))
     return factorial(q) * (p + factorial(p - 1))
-
-
-def build_block(sigma: Perm, n_block: int) -> GrayCode:
-    """Non-cyclic code of n_block + (n_block-1)! codewords from sigma.
-
-    sigma must look like [x, a_1, ..., a_{n_block}, rest] with all a's of one
-    parity and x of the other.  The walk never brings two a's within
-    Chebyshev distance 1 of each other's positions, which is what makes the
-    assembled snakes valid.
-
-    >>> from permsnake.code_model import expand
-    >>> expand(build_block((1, 2, 4, 3), 2))
-    ((1, 2, 4, 3), (4, 1, 2, 3), (2, 4, 1, 3))
-    """
-    sigma = check_perm(sigma)
-    if n_block < 2:
-        raise ValueError(f"n_block must be >= 2, got {n_block}")
-    if n_block + 1 > len(sigma):
-        raise ValueError("n_block + 1 exceeds the permutation length")
-    a = sigma[1 : n_block + 1]
-    if len({v % 2 for v in a}) != 1:
-        raise ValueError(f"values {a} must share a parity")
-    if sigma[0] % 2 == a[0] % 2:
-        raise ValueError(f"leading value {sigma[0]} must have the other parity")
-    interior = build_rmgc(n_block - 1).code.transitions[:-1]
-    transitions = (n_block + 1,) * n_block + interior
-    return GrayCode(n=len(sigma), start=sigma, transitions=transitions, cyclic=False)
 
 
 def _assemble(n: int, outer: tuple[int, ...], inner: tuple[int, ...]) -> GrayCode:

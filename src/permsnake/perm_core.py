@@ -5,7 +5,6 @@ Conventions used across the package:
 - A permutation of [n] = {1, ..., n} is a tuple sigma of length n whose entry
   at index i-1 is sigma(i), the value in position i.  Positions and values are
   both 1-based; only tuple indices are 0-based.
-- compose(a, b) is the permutation i -> a(b(i)).
 - push_to_top: push_top(i, sigma) removes the element in position i and
   reinserts it in position 1.  Valid for 2 <= i <= n.
 - n is capped at MAX_N = 20 so ranks and code sizes stay inside 64-bit range
@@ -28,10 +27,8 @@ __all__ = [
     "Perm",
     "WITHIN_TWO",
     "check_perm",
-    "compose",
     "format_perm",
     "identity",
-    "inverse",
     "is_perm",
     "kendall_distance",
     "linf_distance",
@@ -70,31 +67,6 @@ def check_perm(sigma: Perm) -> Perm:
     if not is_perm(sigma):
         raise ValueError(f"not a permutation of 1..n (n <= {MAX_N}): {sigma!r}")
     return tuple(sigma)
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Functional composition: (a b)(i) = a(b(i)).
-
-    >>> compose((2, 1, 3), (3, 1, 2))
-    (3, 2, 1)
-    """
-    if len(a) != len(b):
-        raise ValueError("composing permutations of different sizes")
-    return tuple(a[b[i] - 1] for i in range(len(a)))
-
-
-def inverse(a: Perm) -> Perm:
-    """The inverse permutation.
-
-    >>> inverse((3, 1, 2))
-    (2, 3, 1)
-    >>> compose((3, 1, 2), inverse((3, 1, 2)))
-    (1, 2, 3)
-    """
-    inv = [0] * len(a)
-    for i, v in enumerate(a):
-        inv[v - 1] = i + 1
-    return tuple(inv)
 
 
 def push_top(i: int, sigma: Perm) -> Perm:

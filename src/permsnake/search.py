@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .bounds import linf_upper, trivial_upper
-from .code_model import GrayCode, SnakeReport, expand, verify_snake
+from .code_model import GrayCode, expand, verify_snake
 from .perm_core import NEIGHBOURS, Perm, check_perm, identity, perm_key, push_top, sign
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "longest_snake",
     "parse_octal_code",
     "recorded_octal_code",
-    "verify_k5_witness",
 ]
 
 MAX_SEARCH_N = 8
@@ -336,11 +335,6 @@ def k5_witness_code() -> GrayCode:
     return GrayCode(
         n=5, start=identity(5), transitions=_K5_SEGMENT * 3, cyclic=True
     )
-
-
-def verify_k5_witness() -> SnakeReport:
-    """verify_snake under Kendall's tau on the recorded 57-codeword snake."""
-    return verify_snake(k5_witness_code(), "kendall")
 
 
 def extend_to_complete(code: GrayCode) -> GrayCode:

@@ -2,6 +2,8 @@ import sys
 
 import pytest
 
+from permsnake.perm_core import Perm, check_perm, kendall_neighbours, perm_key
+
 
 @pytest.fixture
 def shallow_stack():
@@ -14,3 +16,34 @@ def shallow_stack():
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+def _bfs_distance(n: int, alpha: Perm, beta: Perm) -> int:
+    """Kendall distance from alpha to beta by breadth-first search over swaps
+    of neighbouring entries (perm_core.kendall_neighbours).
+
+    Deliberately independent of the closed-form kendall_distance so the two
+    can be checked against each other.  Guarded to n <= 6.
+    """
+    if n > 6:
+        raise ValueError("bfs_distance_oracle is capped at n <= 6")
+    alpha = check_perm(alpha)
+    beta = check_perm(beta)
+    if len(alpha) != n or len(beta) != n:
+        raise ValueError("permutation length does not match n")
+    target = perm_key(beta)
+    seen = {perm_key(alpha)}
+    frontier = [alpha]
+    d = 0
+    while target not in seen:  # the swaps connect all of S_n
+        d += 1
+        reached = {k for p in frontier for k in kendall_neighbours(p)} - seen
+        seen |= reached
+        frontier = [tuple(k.to_bytes(n, "little")) for k in reached]  # unpack keys
+    return d
+
+
+@pytest.fixture
+def bfs_distance_oracle():
+    """The test oracle for Kendall distance: bfs_distance_oracle(n, a, b)."""
+    return _bfs_distance

@@ -1,25 +1,30 @@
 """End-to-end acceptance checks for the package's published guarantees.
 
 Each test covers one numbered criterion and prints a single [PASS]/[FAIL]
-line with its runtime (visible under ``pytest -s``).  The eleven criteria:
+line with its runtime (visible under ``pytest -s``).  Criteria 2, 7, 8 and
+10 run the checks of `permsnake repro` (permsnake.repro.REPRO_CHECKS) and
+name each one that fails.  The eleven criteria:
 
  1. Kendall construction sizes 3/45/1575/99225, under 1 s.
- 2. Recorded degree-5 checkpoints land at their recorded ranks; column
-    stitches use t_3.
+ 2. Recorded degree-5 checkpoints land at their recorded ranks; the two
+    pushes ending each segment, the second one the stitch, use t_3; the
+    code verifies and its balance gap is at most 7.
  3. Kendall snakes verify exactly for N in {3,5,7,9}, minimum distance 2.
  4. Successor walks close and rank/unrank invert for N in {3,5,7}.
  5. Balance gap at most N+2 for N in {5,7,9}.
  6. Chebyshev construction sizes and validity for n in 4..10; enumeration
     round-trips for n in 4..7.
  7. The three recorded octal strings decode to valid cyclic snakes of
-    sizes 6/30/90.
+    sizes 6/30/90 and encode back to the same strings.
  8. The recorded (5,57) fixture is a valid cyclic Kendall snake inside the
     even permutations whose three absentees agree at coordinates 4 and 5,
-    and it extends to a complete non-cyclic code on all 60.
+    and it extends to a complete non-cyclic code on all 60, starting with
+    t_3 t_3 t_5.
  9. Search reproduces the optima: 57 (Kendall, n=5, exhaustive, proven),
     6 (Chebyshev, n=4, proven), >= 30 at n=5, >= 90 at n=6 with pushes
     {5,6} under a node budget.
-10. Bound and density values match their pinned constants.
+10. Bound and density values match their pinned constants (Chebyshev
+    bound up to n=7; the 57 fixture within the trivial degree-5 bound).
 11. Kendall distance equals breadth-first-search distance over adjacent
     transpositions, exhaustively for n <= 4 and on 10^4 random pairs at
     n = 5.
@@ -29,21 +34,8 @@ import itertools
 import random
 import time
 
-from permsnake.bounds import even_push_upper, ksnake_density, linf_upper
-from permsnake.code_model import (
-    balance_gap,
-    bfs_distance_oracle,
-    expand,
-    verify_snake,
-)
-from permsnake.ksnake import (
-    RECORDED_K5_CHECKPOINTS,
-    build_ksnake,
-    ksnake_size,
-    rank_k,
-    successor_k,
-    unrank_k,
-)
+from permsnake.code_model import balance_gap, expand, verify_snake
+from permsnake.ksnake import build_ksnake, ksnake_size, rank_k, successor_k, unrank_k
 from permsnake.linf_snake import (
     build_linf_snake,
     linf_size,
@@ -51,24 +43,24 @@ from permsnake.linf_snake import (
     successor_inf,
     unrank_inf,
 )
-from permsnake.perm_core import kendall_distance, push_top, sign
-from permsnake.search import (
-    RECORDED_OCTAL_CODES,
-    SearchSpec,
-    extend_to_complete,
-    k5_witness_code,
-    longest_snake,
-    recorded_octal_code,
-)
-
-from fractions import Fraction
+from permsnake.perm_core import kendall_distance, push_top
+from permsnake.repro import REPRO_CHECKS
+from permsnake.search import SearchSpec, longest_snake
 
 
-def _report(num: int, label: str, ok: bool, elapsed: float, limit: float) -> None:
+def _report(num: int, label: str, ok: bool, elapsed: float, limit: float,
+            failed: tuple[str, ...] = ()) -> None:
     verdict = "PASS" if ok and elapsed < limit else "FAIL"
     print(f"[{verdict}] criterion {num:2d}: {label} ({elapsed:.2f}s, limit {limit:g}s)")
-    assert ok, f"criterion {num} failed: {label}"
+    assert ok, f"criterion {num} failed: {label}" + "".join(f"\n  FAIL {f}" for f in failed)
     assert elapsed < limit, f"criterion {num} exceeded {limit}s: {elapsed:.2f}s"
+
+
+def _repro(num: int, label: str, target: str) -> None:
+    """A criterion made of the checks `permsnake repro <target>` runs."""
+    t0 = time.perf_counter()
+    failed = tuple(name for name, ok in REPRO_CHECKS[target]() if not ok)
+    _report(num, label, not failed, time.perf_counter() - t0, 1.0, failed)
 
 
 def test_criterion_01_construction_sizes():
@@ -81,16 +73,7 @@ def test_criterion_01_construction_sizes():
 
 
 def test_criterion_02_recorded_degree5_checkpoints():
-    t0 = time.perf_counter()
-    code = build_ksnake(5)
-    words = expand(code)
-    ok = all(words[r] == perm for r, perm in RECORDED_K5_CHECKPOINTS)
-    ok = ok and all(
-        code.transitions[15 * c + 13] == 3 and code.transitions[15 * c + 14] == 3
-        for c in range(3)
-    )
-    _report(2, "recorded degree-5 checkpoints and t_3 stitches", ok,
-            time.perf_counter() - t0, 1.0)
+    _repro(2, "recorded degree-5 checkpoints and t_3 stitches", "ksnake5")
 
 
 def test_criterion_03_kendall_validity():
@@ -148,34 +131,11 @@ def test_criterion_06_chebyshev_construction():
 
 
 def test_criterion_07_recorded_octal_codes():
-    t0 = time.perf_counter()
-    ok = True
-    for n, want in ((4, 6), (5, 30), (6, 90)):
-        code = recorded_octal_code(n)
-        ok = ok and code.cyclic and code.size == want
-        ok = ok and verify_snake(code, "linf").valid
-    ok = ok and set(RECORDED_OCTAL_CODES) == {4, 5, 6}
-    _report(7, "recorded octal codes decode to valid snakes", ok,
-            time.perf_counter() - t0, 1.0)
+    _repro(7, "recorded octal codes decode to valid snakes", "octal")
 
 
 def test_criterion_08_recorded_57_witness_and_completion():
-    t0 = time.perf_counter()
-    code = k5_witness_code()
-    words = expand(code)
-    ok = code.cyclic and len(set(words)) == 57
-    ok = ok and all(sign(w) == 1 for w in words)
-    ok = ok and verify_snake(code, "kendall").valid
-    evens = {p for p in itertools.permutations(range(1, 6)) if sign(p) == 1}
-    complement = sorted(evens - set(words))
-    ok = ok and len(complement) == 3
-    ok = ok and len({w[3] for w in complement}) == 1
-    ok = ok and len({w[4] for w in complement}) == 1
-    extended = extend_to_complete(code)
-    ew = expand(extended)
-    ok = ok and not extended.cyclic and len(ew) == 60 and set(ew) == evens
-    _report(8, "57-codeword witness and completion to 60", ok,
-            time.perf_counter() - t0, 1.0)
+    _repro(8, "57-codeword witness and completion to 60", "witness")
 
 
 def test_criterion_09_search_reproduction():
@@ -199,22 +159,10 @@ def test_criterion_09_search_reproduction():
 
 
 def test_criterion_10_bounds_and_densities():
-    t0 = time.perf_counter()
-    ok = (even_push_upper(5), even_push_upper(7), even_push_upper(9)) == (
-        60, 2519, 181439,
-    )
-    ok = ok and tuple(linf_upper(n) for n in (4, 5, 6)) == (6, 30, 90)
-    ok = ok and ksnake_density(3) == Fraction(1, 2)
-    ok = ok and ksnake_density(5) == Fraction(3, 8)
-    ok = ok and all(
-        ksnake_density(2 * n + 1) / ksnake_density(2 * n - 1)
-        == Fraction(2 * n - 1, 2 * n)
-        for n in range(2, 10)
-    )
-    _report(10, "pinned bounds and densities", ok, time.perf_counter() - t0, 1.0)
+    _repro(10, "pinned bounds and densities", "bounds")
 
 
-def test_criterion_11_metric_matches_bfs_oracle():
+def test_criterion_11_metric_matches_bfs_oracle(bfs_distance_oracle):
     t0 = time.perf_counter()
     ok = True
     for n in (2, 3, 4):

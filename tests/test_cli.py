@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from permsnake.cli import run
+from permsnake.repro import REPRO_CHECKS
 
 
 def _stdout_lines(capsys):
@@ -192,6 +193,30 @@ def test_repro_targets_pass(capsys, target):
     assert summary["ok"] is True
     assert summary["failed"] == 0
     assert summary["target"] == target
+
+
+@pytest.mark.parametrize("target", sorted(REPRO_CHECKS))
+def test_repro_failed_check_exits_one_and_is_named(capsys, monkeypatch, target):
+    checks = REPRO_CHECKS[target]
+
+    def last_fails():
+        *head, (name, _) = checks()
+        yield from head
+        yield name, False
+
+    monkeypatch.setitem(REPRO_CHECKS, target, last_fails)
+    assert run(["repro", target]) == 1
+    captured = capsys.readouterr()
+    assert '"failed":1,"ok":false' in captured.out
+    name = list(checks())[-1][0]
+    fails = [ln for ln in captured.err.splitlines() if ln.startswith("FAIL")]
+    assert fails == [f"FAIL {name}"]
+
+
+def test_repro_choices_are_the_registry_targets(capsys):
+    assert run(["repro", "--help"]) == 0
+    assert "{" + ",".join(REPRO_CHECKS) + "}" in capsys.readouterr().out
+    assert run(["repro", "nope"]) == 2
 
 
 def test_usage_errors_exit_two(capsys):

@@ -13,7 +13,6 @@ from permsnake.code_model import (
     _verify_pairs,
     _verify_words,
     balance_gap,
-    bfs_distance_oracle,
     decode_code,
     encode_code,
     expand,
@@ -171,14 +170,14 @@ def test_balance_gap_tracks_pushed_elements():
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_bfs_oracle_matches_kendall(n):
+def test_bfs_oracle_matches_kendall(n, bfs_distance_oracle):
     perms = list(itertools.permutations(range(1, n + 1)))
     for a in perms:
         for b in perms:
             assert bfs_distance_oracle(n, a, b) == kendall_distance(a, b)
 
 
-def test_bfs_oracle_rejects_large_n():
+def test_bfs_oracle_rejects_large_n(bfs_distance_oracle):
     with pytest.raises(ValueError):
         bfs_distance_oracle(7, tuple(range(1, 8)), tuple(range(1, 8)))
 

@@ -7,7 +7,6 @@ from permsnake.linf_snake import (
     MAX_LINF_N,
     MIN_LINF_N,
     VARIANTS,
-    build_block,
     build_linf_snake,
     linf_size,
     rank_inf,
@@ -18,7 +17,8 @@ from permsnake.perm_core import linf_distance, push_top
 
 
 def test_build_block_two_element_example():
-    assert expand(build_block((1, 2, 4, 3), 2)) == (
+    # the n=4 snake opens with the block from (1, 2, 4, 3) over the evens 2, 4
+    assert expand(build_linf_snake(4))[:3] == (
         (1, 2, 4, 3),
         (4, 1, 2, 3),
         (2, 4, 1, 3),
@@ -26,23 +26,18 @@ def test_build_block_two_element_example():
 
 
 def test_build_block_three_element_example():
-    words = expand(build_block((1, 2, 4, 6, 3, 5), 3))
-    assert words == (
+    # the n=6 snake opens with the block from (1, 2, 4, 6, 3, 5)
+    code = build_linf_snake(6)
+    assert expand(code)[:5] == (
         (1, 2, 4, 6, 3, 5),
         (6, 1, 2, 4, 3, 5),
         (4, 6, 1, 2, 3, 5),
         (2, 4, 6, 1, 3, 5),
         (4, 2, 6, 1, 3, 5),
     )
-    # block length is n_block + (n_block - 1)!
-    assert len(words) == 3 + 2
-
-
-def test_build_block_rejects_mixed_parity():
-    with pytest.raises(ValueError):
-        build_block((1, 2, 3, 4), 2)
-    with pytest.raises(ValueError):
-        build_block((2, 4, 6, 1, 3, 5), 3)
+    # block length is n_block + (n_block - 1)! = 3 + 2: pushes 1-4 stay in
+    # the first 4 positions, the 5th moves an odd value to the next block
+    assert max(code.transitions[:4]) <= 4 < code.transitions[4]
 
 
 def test_sizes_both_variants():

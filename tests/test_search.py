@@ -18,7 +18,6 @@ from permsnake.search import (
     longest_snake,
     parse_octal_code,
     recorded_octal_code,
-    verify_k5_witness,
 )
 
 
@@ -67,7 +66,6 @@ def test_witness_fixture():
     report = verify_snake(code, "kendall")
     assert report.valid
     assert report.min_pairwise_distance == 2
-    assert verify_k5_witness()
 
 
 def test_witness_misses_exactly_three_even_permutations():
