@@ -12,7 +12,6 @@ from .bounds import (
     BoundsRow,
     bounds_row,
     bounds_table,
-    even_push_upper,
     ksnake_density,
     linf_upper,
     trivial_upper,
@@ -52,7 +51,7 @@ from .perm_core import (
     push_top,
     sign,
 )
-from .rmgc import RmgcTable, build_rmgc, rmgc_rank, rmgc_succ, rmgc_unrank
+from .rmgc import RmgcTable, build_rmgc, rmgc_rank, rmgc_unrank
 from .search import (
     RECORDED_OCTAL_CODES,
     SearchResult,
@@ -86,7 +85,6 @@ __all__ = [
     "decode_code",
     "emit_octal_code",
     "encode_code",
-    "even_push_upper",
     "expand",
     "extend_to_complete",
     "format_perm",
@@ -107,7 +105,6 @@ __all__ = [
     "rank_k",
     "recorded_octal_code",
     "rmgc_rank",
-    "rmgc_succ",
     "rmgc_unrank",
     "sign",
     "successor_inf",

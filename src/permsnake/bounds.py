@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, log2
+from math import factorial, log2
 from typing import Optional
 
 from .perm_core import MAX_N
@@ -21,7 +21,6 @@ __all__ = [
     "BoundsRow",
     "bounds_row",
     "bounds_table",
-    "even_push_upper",
     "ksnake_density",
     "linf_upper",
     "trivial_upper",
@@ -34,21 +33,6 @@ def trivial_upper(n: int) -> int:
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     return factorial(n) // 2
-
-
-def even_push_upper(n: int) -> int:
-    """floor(n!/2 - C(floor(n/2)-1, 2)/(n-1)), the table's even_push_upper.
-
-    This is not an upper bound on every Kendall snake: Holroyd (IEEE T-IT
-    63(1), 2017; arXiv:1602.08073) builds Kendall snakes of size n!/2 for
-    every odd n != 5, while even_push_upper(7) = 2519 < 2520.  The class of
-    snakes it bounds (the name suggests snakes that use an even push) is
-    still to be stated from the source paper.
-    """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    value = Fraction(factorial(n), 2) - Fraction(comb(n // 2 - 1, 2), n - 1)
-    return value.numerator // value.denominator
 
 
 def linf_upper(n: int) -> int:
@@ -76,7 +60,6 @@ class BoundsRow:
 
     n: int
     trivial_upper: int
-    even_push_upper: int
     linf_upper: int
     ksnake_size: Optional[int]
     ksnake_density: Optional[Fraction]
@@ -105,7 +88,6 @@ def bounds_row(n: int) -> BoundsRow:
     return BoundsRow(
         n=n,
         trivial_upper=trivial_upper(n),
-        even_push_upper=even_push_upper(n),
         linf_upper=linf_upper(n),
         ksnake_size=k_size,
         ksnake_density=k_density,

@@ -249,7 +249,6 @@ def _row_json(row: BoundsRow) -> dict:
     return {
         "n": row.n,
         "trivial_upper": row.trivial_upper,
-        "even_push_upper": row.even_push_upper,
         "linf_upper": row.linf_upper,
         "ksnake_size": row.ksnake_size,
         "ksnake_density": str(row.ksnake_density) if row.ksnake_density else None,
@@ -274,15 +273,14 @@ def _cmd_bounds(args) -> int:
             raise ValueError(f"--n-range must be integers, got {args.n_range!r}") from None
     rows = bounds_table(lo, hi)
     header = (
-        f"{'n':>3} {'trivial':>12} {'even_push':>12} {'linf_up':>12} "
+        f"{'n':>3} {'trivial':>12} {'linf_up':>12} "
         f"{'ksnake':>8} {'density':>10} {'linf':>6}"
     )
     _note(header)
     for row in rows:
         _emit(_row_json(row))
         _note(
-            f"{row.n:>3} {row.trivial_upper:>12} {row.even_push_upper:>12} "
-            f"{row.linf_upper:>12} "
+            f"{row.n:>3} {row.trivial_upper:>12} {row.linf_upper:>12} "
             f"{row.ksnake_size if row.ksnake_size is not None else '-':>8} "
             f"{str(row.ksnake_density) if row.ksnake_density is not None else '-':>10} "
             f"{row.linf_size if row.linf_size is not None else '-':>6}"
@@ -327,3 +325,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -13,12 +13,16 @@ one per rotation offset c of the a-sequence.  Segment c covers the cycle
 through sigma_0 = [1, a_c, 3, a_{c+1}, ..., a_{c+2n-2}], entered two steps in
 (at t_N t_3 sigma_0) and stitched to the next segment by a t_3.
 
-successor_k / rank_k / unrank_k follow the recursive structure without
-expanding the code and agree with build_ksnake's enumeration order, rank 0 at
-the stored start.  One normalization is baked in: the recursion's natural
-degree-3 origin is [2,3,1], while the stored degree-3 code starts at [1,2,3];
-the base-case constants and the subcode origin rank (_subcode_origin) are
-adjusted so that all three functions match the expansion exactly.
+rank_k / unrank_k follow the recursive structure without expanding the code
+and agree with build_ksnake's enumeration order, rank 0 at the stored start.
+rank_k is exact: it raises ValueError on every permutation outside the code.
+successor_k is the push at rank_k(sigma), read from the segment layout
+(_push_at), so it raises on exactly the words rank_k rejects and works past
+build_ksnake's degree cap.  One normalization is baked in: the recursion's
+natural degree-3 origin is [2,3,1], while the stored degree-3 code starts at
+[1,2,3]; the base-case constants and the subcode origin rank
+(_subcode_origin) are adjusted so that all functions match the expansion
+exactly.
 """
 
 from __future__ import annotations
@@ -38,6 +42,9 @@ __all__ = [
 ]
 
 MAX_KSNAKE_N = 9
+
+# The degree-3 code in enumeration order.
+_DEGREE3_WORDS: tuple[Perm, ...] = ((1, 2, 3), (3, 1, 2), (2, 3, 1))
 
 # Recorded checkpoints of the degree-5 code: each 15-codeword segment is
 # pinned at offsets 0, 3, 4, 8, 9, 13, 14 (segment heads, the codewords
@@ -69,6 +76,7 @@ RECORDED_K5_CHECKPOINTS: tuple[tuple[int, tuple[int, ...]], ...] = (
 )
 
 
+@lru_cache(maxsize=None)
 def ksnake_size(N: int) -> int:
     """M_N: 3 for N = 3, else (N-2) * N * M_{N-2} (N odd, N >= 3)."""
     if N < 3 or N % 2 == 0:
@@ -103,28 +111,26 @@ def _subcode_origin(n: int) -> int:
     return 2 if n == 2 else 2 * n - 4
 
 
-def _down(n: int, j: int, b: int) -> int:
-    """Translate a tail value of the degree 2n+1 code (cycle offset j) to the
-    corresponding value of the degree 2n-1 code."""
-    if b == 3:
-        return 1
-    s = _alphabet_index(n, b)
-    if (s - (j + 1)) % (2 * n - 1) == 0:
-        return 3
-    idx = (j - s - 1) % (2 * n - 1)
-    if idx > 2 * n - 4:
-        raise ValueError("permutation is not a codeword of the recursive family")
-    return _alphabet_value(n - 1, idx)
-
-
 def _up(n: int, j: int, b: int) -> int:
-    """Inverse of _down: lift a degree 2n-1 value into the degree 2n+1 tail."""
+    """Lift a degree 2n-1 value into the tail of the degree 2n+1 code (cycle
+    offset j)."""
     if b == 1:
         return 3
     if b == 3:
         return _alphabet_value(n, (j + 1) % (2 * n - 1))
     s = _alphabet_index(n - 1, b)
     return _alphabet_value(n, (j - s - 1) % (2 * n - 1))
+
+
+@lru_cache(maxsize=None)
+def _value_maps(n: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(down, up), indexed by value: up is _up at offset j, down its inverse
+    on the tail values of the degree 2n+1 code (1 and a_j map to 0)."""
+    up = (0,) + tuple(_up(n, j, b) for b in range(1, 2 * n))
+    down = [0] * (2 * n + 2)
+    for b in range(1, 2 * n):
+        down[up[b]] = b
+    return tuple(down), up
 
 
 @lru_cache(maxsize=None)
@@ -158,40 +164,33 @@ def build_ksnake(N: int) -> GrayCode:
     return GrayCode(n=N, start=start, transitions=tuple(segment) * (2 * n - 1), cyclic=True)
 
 
+def _push_at(N: int, r: int) -> int:
+    """build_ksnake(N).transitions[r], from the segment layout: N repeated
+    N-2 times, then M_{N-2}-1 blocks (N+1-k, then N repeated N-1 times),
+    then 3, 3; block b's k is the degree N-2 push at its subcode rank."""
+    if N == 3:
+        return 3
+    m = ksnake_size(N - 2)
+    pos = r % (N * m) - (N - 2)
+    if pos < 0:
+        return N
+    b, off = divmod(pos, N)
+    if b == m - 1:
+        return 3
+    if off:
+        return N
+    return N + 1 - _push_at(N - 2, (_subcode_origin((N - 1) // 2) + b + 1) % m)
+
+
 def successor_k(n: int, sigma: Perm) -> int:
     """Push index from codeword sigma to its cyclic successor, N = 2n+1.
 
-    Three cases beyond the degree-3 base: the stitch between cycle segments
-    (leading 3, 1, then alphabet values in consecutive order) uses t_3; a
-    leading 1 marks a cycle-head block whose exit is found recursively; every
-    other codeword sits mid-block and continues with t_N.
+    Raises ValueError when sigma is not a codeword, as rank_k does.
     """
-    sigma = check_perm(sigma)
+    r = rank_k(sigma)
     if len(sigma) != 2 * n + 1:
         raise ValueError(f"expected a permutation of length {2 * n + 1}")
-    if n == 1:
-        return 3
-    N = 2 * n + 1
-    if sigma[0] == 3 and sigma[1] == 1 and _tail_is_consecutive(n, sigma):
-        return 3
-    if sigma[0] == 1:
-        j = _alphabet_index(n, sigma[1])
-        sub = tuple(_down(n, j, v) for v in reversed(sigma[2:]))
-        i = successor_k(n - 1, sub)
-        return 2 * n + 2 - i
-    return N
-
-
-def _tail_is_consecutive(n: int, sigma: Perm) -> bool:
-    """True when sigma(3..2n+1) runs through the alphabet in consecutive
-    cyclic order, i.e. sigma is the last codeword of a cycle segment."""
-    for idx in range(2, 2 * n):
-        u, v = sigma[idx], sigma[idx + 1]
-        if u in (1, 3) or v in (1, 3):
-            return False
-        if (_alphabet_index(n, v) - _alphabet_index(n, u)) % (2 * n - 1) != 1:
-            return False
-    return True
+    return _push_at(2 * n + 1, r)
 
 
 def rank_k(sigma: Perm) -> int:
@@ -212,19 +211,19 @@ def rank_k(sigma: Perm) -> int:
 def _rank_k(sigma: Perm) -> int:
     N = len(sigma)
     if N == 3:
-        # The formula below would also rank the three odd words, which is
-        # where most non-codewords of higher degree end up.
-        if sigma not in ((1, 2, 3), (3, 1, 2), (2, 3, 1)):
-            raise ValueError(f"odd degree-3 word {sigma}")
-        return (2 - sigma[1]) % 3
+        # Refuses the three odd words, where most non-codewords of higher
+        # degree end up: the formula below would rank them too.
+        return _DEGREE3_WORDS.index(sigma)
     n = (N - 1) // 2
-    i = sigma.index(1) + 1  # 1-based position of the value 1
-    j = _alphabet_index(n, sigma[i % N])
-    # _down is one-to-one on the values it keeps, so sub is a permutation
-    sub = tuple(_down(n, j, sigma[(i - l - 1) % N]) for l in range(1, N - 1))
+    i = sigma.index(1)
+    rot = sigma[i:] + sigma[:i]  # rot = (1, a_j, tail)
+    j = _alphabet_index(n, rot[1])
+    down = _value_maps(n, j)[0]
+    # down is one-to-one on the tail values, so sub is a permutation
+    sub = tuple(map(down.__getitem__, rot[:1:-1]))
     m_small = ksnake_size(N - 2)
     r = (_rank_k(sub) - _subcode_origin(n)) % m_small
-    rn = (N * (r - 1) - 1 + ((i - 2) % N)) % (N * m_small)
+    rn = (N * (r - 1) - 1 + ((i - 1) % N)) % (N * m_small)
     return N * m_small * j + rn
 
 
@@ -236,17 +235,14 @@ def unrank_k(n: int, k: int) -> Perm:
     if not 0 <= k < size:
         raise ValueError(f"rank {k} out of range 0..{size - 1}")
     if n == 1:
-        sigma: Perm = (1, 2, 3)
-        for _ in range(k):
-            sigma = push_top(3, sigma)
-        return sigma
+        return _DEGREE3_WORDS[k]
     N = 2 * n + 1
     m_small = ksnake_size(N - 2)
     j, pos = divmod(k, N * m_small)
     sub_rank = ((pos + 1) // N + 1 + _subcode_origin(n)) % m_small
-    shift = (pos + 2) % N
-    sub = unrank_k(n - 1, sub_rank)
-    sigma = (1, _alphabet_value(n, j)) + tuple(_up(n, j, v) for v in reversed(sub))
-    for _ in range(shift):
-        sigma = push_top(N, sigma)
-    return sigma
+    up = _value_maps(n, j)[1]
+    sigma = (1, _alphabet_value(n, j)) + tuple(
+        map(up.__getitem__, reversed(unrank_k(n - 1, sub_rank)))
+    )
+    shift = (pos + 2) % N  # that many t_N pushes: a right rotation
+    return sigma[-shift:] + sigma[:-shift]

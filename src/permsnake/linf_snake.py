@@ -15,8 +15,10 @@ with one odd push each, following a complete order-p rotation code; sizes are
 p! * (q + (q-1)!): 6, 18, 30, 120, 240, 1200, 3480 for n = 4..10.  The
 even-top variant swaps the roles (strictly smaller for odd n).
 
-successor_inf / rank_inf / unrank_inf index the default variant without
-expanding it; rank 0 is the stored start.
+rank_inf / unrank_inf index the default variant without expanding it; rank
+0 is the stored start, and rank_inf raises ValueError on every permutation
+outside the code.  successor_inf is the push at rank_inf(sigma), read from
+the block layout, so it raises on exactly the words rank_inf rejects.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import factorial
 
 from .code_model import GrayCode, verify_snake
 from .perm_core import Perm, check_perm
-from .rmgc import build_rmgc, rmgc_rank, rmgc_succ, rmgc_unrank
+from .rmgc import build_rmgc, rmgc_rank, rmgc_unrank
 
 __all__ = [
     "VARIANTS",
@@ -54,14 +56,18 @@ def linf_size(n: int, variant: str = "odd-top") -> int:
     return factorial(q) * (p + factorial(p - 1))
 
 
+@lru_cache(maxsize=None)
+def _block(s: int) -> tuple[int, ...]:
+    """Pushes of one block over s inner values, up to its glue push: s
+    rotations, then the order s-1 complete code without its closing t_2."""
+    return (s + 1,) * s + build_rmgc(s - 1).code.transitions[:-1]
+
+
 def _assemble(n: int, outer: tuple[int, ...], inner: tuple[int, ...]) -> GrayCode:
-    w = len(outer)
     s = len(inner)
-    outer_table = build_rmgc(w)
-    interior = build_rmgc(s - 1).code.transitions[:-1]
-    block = (s + 1,) * s + interior
+    block = _block(s)
     transitions: list[int] = []
-    for glue in outer_table.code.transitions:
+    for glue in build_rmgc(len(outer)).code.transitions:
         transitions.extend(block)
         transitions.append(s + glue)
     start = (outer[0],) + inner + outer[1:]
@@ -106,31 +112,18 @@ def _split(sigma: Perm) -> tuple[int, int, int]:
     return n, (n + 1) // 2, n // 2
 
 
-def _end_evens(q: int, block_parity: int) -> tuple[int, ...]:
-    """Even arrangement at the last codeword of a block: the block-head
-    arrangement with its first two entries swapped."""
-    if block_parity % 2 == 0:
-        return (4, 2) + tuple(range(6, 2 * q + 1, 2))
-    return tuple(range(2, 2 * q + 1, 2))
-
-
 def successor_inf(sigma: Perm) -> int:
-    """Push index from codeword sigma to its successor (default variant)."""
-    sigma = check_perm(sigma)
-    n, p, q = _split(sigma)
-    if sigma[q] % 2 == 0:
-        return q + 1
-    odd_table = build_rmgc(p)
-    odd_half = tuple((v + 1) // 2 for v in sigma[q:])
-    r_block = rmgc_rank(odd_table, odd_half)
-    if q == 2:
-        return q + rmgc_succ(odd_table, odd_half)
-    if sigma[:q] == _end_evens(q, r_block):
-        return q + rmgc_succ(odd_table, odd_half)
-    prefix = tuple(v // 2 for v in sigma[: q - 1])
-    if r_block % 2 == 1:
-        prefix = _swap12(prefix)
-    return rmgc_succ(build_rmgc(q - 1), prefix)
+    """Push index from codeword sigma to its successor (default variant).
+
+    Raises ValueError when sigma is not a codeword, as rank_inf does.
+    """
+    r = rank_inf(sigma)
+    p, q = (len(sigma) + 1) // 2, len(sigma) // 2
+    block = _block(q)
+    r_block, off = divmod(r, len(block) + 1)
+    if off < len(block):
+        return block[off]
+    return q + build_rmgc(p).code.transitions[r_block]
 
 
 def _rank_inf_raw(sigma: Perm, p: int, q: int) -> int:

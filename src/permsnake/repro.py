@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .bounds import even_push_upper, ksnake_density, linf_upper, trivial_upper
+from .bounds import ksnake_density, linf_upper, trivial_upper
 from .code_model import balance_gap, expand, verify_snake
 from .ksnake import RECORDED_K5_CHECKPOINTS, build_ksnake
 from .perm_core import format_perm, sign
@@ -80,9 +80,6 @@ def _octal() -> Checks:
 
 
 def _bounds() -> Checks:
-    yield ("even_push_upper at 5/7/9 is 60/2519/181439",
-           (even_push_upper(5), even_push_upper(7), even_push_upper(9))
-           == (60, 2519, 181439))
     yield ("linf bound at 4..7 is 6/30/90/630",
            tuple(linf_upper(n) for n in range(4, 8)) == (6, 30, 90, 630))
     yield ("densities 1/2 and 3/8",

@@ -27,7 +27,6 @@ __all__ = [
     "RmgcTable",
     "build_rmgc",
     "rmgc_rank",
-    "rmgc_succ",
     "rmgc_unrank",
 ]
 
@@ -106,9 +105,3 @@ def rmgc_unrank(table: RmgcTable, r: int) -> Perm:
         raise ValueError(f"rank {r} out of range 0..{len(table.codewords) - 1}")
     return table.codewords[r]
 
-
-def rmgc_succ(table: RmgcTable, sigma: Perm) -> int:
-    """Push-to-top index leading from sigma to the next codeword."""
-    if table.n < 2:
-        raise ValueError("the order-1 code has no transitions")
-    return table.code.transitions[rmgc_rank(table, sigma)]

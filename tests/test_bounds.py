@@ -8,7 +8,6 @@ import pytest
 from permsnake.bounds import (
     bounds_row,
     bounds_table,
-    even_push_upper,
     ksnake_density,
     linf_upper,
     trivial_upper,
@@ -18,19 +17,6 @@ from permsnake.ksnake import ksnake_size
 
 def test_trivial_upper_is_half_factorial():
     assert [trivial_upper(n) for n in (3, 4, 5, 6)] == [3, 12, 60, 360]
-
-
-def test_even_push_pinned_values():
-    assert even_push_upper(5) == 60
-    assert even_push_upper(7) == 2519
-    assert even_push_upper(9) == 181439
-
-
-def test_even_push_at_most_trivial_and_strict_from_six():
-    for n in range(3, 13):
-        assert even_push_upper(n) <= trivial_upper(n)
-    for n in range(6, 13):
-        assert even_push_upper(n) < trivial_upper(n)
 
 
 def test_linf_upper_pinned_values():

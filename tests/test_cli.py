@@ -126,6 +126,18 @@ def test_next_command(capsys):
     assert _stdout_lines(capsys) == ["3"]
 
 
+@pytest.mark.parametrize(
+    "family, n, perm",
+    [("linf", "6", "[1,2,3,4,5,6]"), ("ksnake", "5", "[3,5,1,2,4]")],
+)
+def test_next_rejects_non_codeword(capsys, family, n, perm):
+    assert run(["next", "--family", family, "--n", n, "--perm", perm]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    shown = "(" + perm[1:-1].replace(",", ", ") + ")"
+    assert f"{shown} is not a codeword" in captured.err
+
+
 def test_search_command(capsys):
     assert run(["search", "--n", "4", "--metric", "kendall"]) == 0
     obj = json.loads(_stdout_lines(capsys)[0])
@@ -173,6 +185,8 @@ def test_search_exhaustive_and_budget_conflict(capsys):
 def test_bounds_single_and_range(capsys):
     assert run(["bounds", "--n", "5"]) == 0
     obj = json.loads(_stdout_lines(capsys)[0])
+    assert list(obj) == ["n", "trivial_upper", "linf_upper", "ksnake_size",
+                         "ksnake_density", "ksnake_rate", "linf_size", "linf_rate"]
     assert obj["ksnake_size"] == 45
     assert obj["ksnake_density"] == "3/8"
     assert run(["bounds", "--n-range", "4:6"]) == 0
@@ -286,6 +300,20 @@ for gen in (["ksnake", "--n", "7"], ["linf", "--n", "9"]):
     sys.stdin = io.StringIO(out.getvalue())
     assert run(["verify", "-"]) == 0, gen
 """
+
+
+def test_python_m_permsnake_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "permsnake", "bounds", "--n", "5"],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    assert json.loads(line)["n"] == 5
 
 
 def test_gen_verify_pipeline_runs_without_numpy():

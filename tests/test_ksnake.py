@@ -1,6 +1,7 @@
 """Kendall snake construction on odd lengths, with successor/rank/unrank."""
 
 import itertools
+import random
 
 import pytest
 
@@ -78,7 +79,7 @@ def test_successor_examples():
     assert successor_k(2, (3, 1, 2, 4, 5)) == 3
 
 
-@pytest.mark.parametrize("N", [3, 5, 7])
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
 def test_successor_walks_the_whole_cycle(N):
     n = (N - 1) // 2
     code = build_ksnake(N)
@@ -88,6 +89,14 @@ def test_successor_walks_the_whole_cycle(N):
         t = successor_k(n, w)
         assert t == code.transitions[r]
         assert push_top(t, w) == words[(r + 1) % M]
+
+
+def test_successor_steps_to_the_next_rank_past_the_build_cap():
+    # degree 11 is past MAX_KSNAKE_N, so no transition list exists to read
+    rng = random.Random(11)
+    for k in rng.sample(range(ksnake_size(11) - 1), 200):
+        w = unrank_k(5, k)
+        assert push_top(successor_k(5, w), w) == unrank_k(5, k + 1)
 
 
 @pytest.mark.parametrize("N", [3, 5, 7])
@@ -141,13 +150,17 @@ def test_rejects_bad_degree():
         build_ksnake(1)
 
 
-@pytest.mark.parametrize("N", [5, 7])
+@pytest.mark.parametrize("N", [3, 5, 7])
 def test_rank_is_exact_on_the_whole_symmetric_group(N):
+    # successor_k is the push at the rank, so it refuses the same words
+    n = (N - 1) // 2
     ranks = {w: r for r, w in enumerate(expand(build_ksnake(N)))}
     for p in itertools.permutations(range(1, N + 1)):
         if p in ranks:
             assert rank_k(p) == ranks[p]
-            assert unrank_k((N - 1) // 2, ranks[p]) == p
+            assert unrank_k(n, ranks[p]) == p
         else:
             with pytest.raises(ValueError, match="not a codeword"):
                 rank_k(p)
+            with pytest.raises(ValueError, match="not a codeword"):
+                successor_k(n, p)

@@ -1,5 +1,7 @@
 """Chebyshev-metric snakes built from parity blocks, plus their enumeration."""
 
+import itertools
+
 import pytest
 
 from permsnake.code_model import expand, verify_snake
@@ -95,7 +97,7 @@ def test_successor_example():
     assert successor_inf((1, 2, 4, 3)) == 3
 
 
-@pytest.mark.parametrize("n", range(MIN_LINF_N, 8))
+@pytest.mark.parametrize("n", range(MIN_LINF_N, MAX_LINF_N + 1))
 def test_successor_walks_the_whole_cycle(n):
     code = build_linf_snake(n)
     words = expand(code)
@@ -119,6 +121,17 @@ def test_rank_rejects_non_codewords():
         rank_inf((2, 1, 3, 4))
     with pytest.raises(ValueError):
         rank_inf((1, 3, 2, 4))
+
+
+@pytest.mark.parametrize("n", range(MIN_LINF_N, 8))
+def test_rank_and_successor_reject_every_non_codeword(n):
+    words = set(expand(build_linf_snake(n)))
+    for p in itertools.permutations(range(1, n + 1)):
+        if p not in words:
+            with pytest.raises(ValueError, match="not a codeword"):
+                rank_inf(p)
+            with pytest.raises(ValueError, match="not a codeword"):
+                successor_inf(p)
 
 
 def test_unrank_rejects_out_of_range():
