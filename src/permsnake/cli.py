@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, help="node budget (placements)")
     p.add_argument("--exhaustive", action="store_true",
                    help="run to exhaustion (n <= 6)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--start", help="start permutation (default identity)")
 
     p = sub.add_parser("bounds", help="bounds and construction sizes per n")
@@ -156,30 +155,33 @@ def _cmd_unrank(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.file == "-":
-        lines = sys.stdin.read().splitlines()
+        text = sys.stdin.read()
     else:
         try:
             with open(args.file, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
+                text = fh.read()
         except OSError as exc:
             raise ValueError(f"cannot read {args.file}: {exc}") from None
-    lines = [ln for ln in lines if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("no code JSON supplied")
     all_valid = True
-    for ln in lines:
-        code, embedded = decode_code(ln)
-        metric = args.metric or embedded
-        if metric is None:
-            raise ValueError(
-                "no metric: pass --metric or embed one in the code JSON"
-            )
-        if code.size > VERIFY_CAP and not args.force:
-            raise ValueError(
-                f"code has {code.size} codewords (> {VERIFY_CAP}); "
-                "pass --force to verify it anyway"
-            )
-        report = verify_snake(code, metric)
+    for i, ln in lines:
+        try:
+            code, embedded = decode_code(ln)
+            metric = args.metric or embedded
+            if metric is None:
+                raise ValueError(
+                    "no metric: pass --metric or embed one in the code JSON"
+                )
+            if code.size > VERIFY_CAP and not args.force:
+                raise ValueError(
+                    f"code has {code.size} codewords (> {VERIFY_CAP}); "
+                    "pass --force to verify it anyway"
+                )
+            report = verify_snake(code, metric)
+        except ValueError as exc:
+            raise ValueError(f"line {i}: {exc}") from None
         _emit(
             {
                 "valid": report.valid,
@@ -225,7 +227,7 @@ def _cmd_search(args) -> int:
         start=start,
         node_budget=budget,
     )
-    result = longest_snake(spec, jobs=args.jobs)
+    result = longest_snake(spec)
     best = None
     if result.best is not None:
         best = json.loads(encode_code(result.best, args.metric))

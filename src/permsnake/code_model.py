@@ -226,15 +226,16 @@ def decode_code(text: str) -> tuple[GrayCode, Optional[str]]:
     missing = {"n", "start", "transitions", "cyclic"} - payload.keys()
     if missing:
         raise ValueError(f"code JSON missing keys: {sorted(missing)}")
+    # type() and not isinstance(), which would take JSON true and false (bool)
     n = payload["n"]
-    if not isinstance(n, int) or not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be an integer in 1..{MAX_N}")
+    if type(n) is not int or not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
     start = payload["start"]
     transitions = payload["transitions"]
-    if not isinstance(start, list) or not all(isinstance(v, int) for v in start):
+    if not isinstance(start, list) or not all(type(v) is int for v in start):
         raise ValueError("start must be a list of integers")
     if not isinstance(transitions, list) or not all(
-        isinstance(v, int) for v in transitions
+        type(v) is int for v in transitions
     ):
         raise ValueError("transitions must be a list of integers")
     if not isinstance(payload["cyclic"], bool):

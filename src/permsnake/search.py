@@ -18,6 +18,12 @@ distance is not translation invariant, so no such split is applied there and
 exhaustion certifies optimality among codes through the fixed start; hitting
 the metric's upper bound certifies global optimality for either metric.
 
+The branches, one per first transition, run in ascending order.  Branch f
+of b may place ceil(remaining / (b - f)) nodes, remaining being the node
+budget less what the earlier branches placed.  The search stops once a code
+reaches the metric's upper bound: an equal-size code never replaces the first
+one found, so the stop changes no size, witness or optimality verdict.
+
 Also here: the recorded two-transition Chebyshev codes in octal form, the
 recorded 57-codeword cyclic Kendall snake of degree 5, and the completion
 that extends it to a non-cyclic code covering all of A_5.
@@ -27,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -82,10 +87,10 @@ class SearchSpec:
         start = self.start if self.start is not None else identity(self.n)
         start = check_perm(start)
         if len(start) != self.n:
-            raise ValueError("start length does not match n")
+            raise ValueError(f"start {start} has length {len(start)}, but n is {self.n}")
         object.__setattr__(self, "start", start)
         if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError("node_budget must be positive")
+            raise ValueError(f"node_budget must be positive, got {self.node_budget}")
         if self.node_budget is None and self.n > MAX_EXHAUSTIVE_N:
             raise ValueError(
                 f"exhaustive search is capped at n <= {MAX_EXHAUSTIVE_N}; "
@@ -135,12 +140,14 @@ def _build_tables(spec: SearchSpec) -> _Tables:
 
 
 def _explore(
-    tables: _Tables, cyclic: bool, first: int, offset: int, budget: Optional[int]
-) -> tuple[int, Optional[tuple[int, ...]], int, bool]:
+    tables: _Tables, cyclic: bool, first: int, offset: int, budget: Optional[int],
+    bound: int, best: tuple[int, Optional[tuple[int, ...]]],
+) -> tuple[tuple[int, Optional[tuple[int, ...]]], int, bool]:
     """Search one branch: the codes whose first push is the alphabet's entry
     number first and whose pushes all come from the alphabet's suffix at
-    offset.  Returns (best size, best transition sequence with closure for
-    cyclic codes, placements, exhausted)."""
+    offset, until one reaches bound.  best is the (size, transitions, with the
+    closing push for cyclic codes) of the largest code so far, and a code
+    replaces it only if larger.  Returns (best, placements, exhausted)."""
     balls = tables.balls
     moves = tables.moves if offset == 0 else [mv[offset:] for mv in tables.moves]
     closing = [0] * len(balls)  # the push back to the start, 0 where there is none
@@ -152,8 +159,7 @@ def _explore(
     # The budget is checked before each placement but the first, which a
     # branch always makes.
     limit = math.inf if budget is None else max(budget, 1)
-    best_size = 0
-    best_trans: Optional[tuple[int, ...]] = None
+    best_size, best_trans = best
     nodes = 0
     # One entry (state, the push that reached it, the untried siblings) per
     # placed state; children iterates the top state's untried pushes.
@@ -165,13 +171,13 @@ def _explore(
                 break
         else:
             if not stack:
-                return best_size, best_trans, nodes, True
+                return (best_size, best_trans), nodes, True
             state, _, children = stack.pop()
             for u in balls[state]:
                 blocked[u] -= 1
             continue
         if nodes >= limit:
-            return best_size, best_trans, nodes, False
+            return (best_size, best_trans), nodes, False
         nodes += 1
         for u in balls[nxt]:
             blocked[u] += 1
@@ -183,81 +189,42 @@ def _explore(
             best_trans = tuple(entry[1] for entry in stack)
             if cyclic:
                 best_trans += (closing[nxt],)
+            if best_size >= bound:
+                return (best_size, best_trans), nodes, False
 
 
-# Worker processes build their tables once, in the pool's initializer.
-_worker_tables: Optional[_Tables] = None
-
-
-def _init_worker(spec: SearchSpec) -> None:
-    global _worker_tables
-    _worker_tables = _build_tables(spec)
-
-
-def _explore_in_worker(
-    branch: tuple,
-) -> tuple[int, Optional[tuple[int, ...]], int, bool]:
-    return _explore(_worker_tables, *branch)
-
-
-def _metric_bound(metric: str, n: int) -> int:
-    return trivial_upper(n) if metric == "kendall" else linf_upper(n)
-
-
-def longest_snake(spec: SearchSpec, jobs: int = 1) -> SearchResult:
-    """Largest snake satisfying spec; deterministic for any jobs >= 1.
+def longest_snake(spec: SearchSpec) -> SearchResult:
+    """Largest snake satisfying spec; deterministic.
 
     proven_optimal is True when every branch ran to exhaustion within budget
     or the best size equals the metric's upper bound (see module docstring
     for what exhaustion certifies under each metric).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    # A cyclic Kendall branch keeps to the pushes from its first on (module
-    # docstring); the node budget is shared evenly over the branches.
+    tables = _build_tables(spec)
+    bound = trivial_upper(spec.n) if spec.metric == "kendall" else linf_upper(spec.n)
+    # A cyclic Kendall branch keeps to pushes >= its first (module docstring).
     split_on_min = spec.metric == "kendall" and spec.cyclic
-    b, budget = len(spec.allowed_transitions), spec.node_budget
-    branches = [
-        (
-            spec.cyclic,
-            f,
-            f if split_on_min else 0,
-            None if budget is None else budget // b + (1 if f < budget % b else 0),
-        )
-        for f in range(b)
-    ]
-
-    if jobs == 1:
-        tables = _build_tables(spec)
-        outcomes = [_explore(tables, *br) for br in branches]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(branches)),
-            initializer=_init_worker,
-            initargs=(spec,),
-        ) as pool:
-            outcomes = list(pool.map(_explore_in_worker, branches))
-
-    if spec.cyclic:
-        best_size, best_trans = 0, None
-    else:
-        best_size, best_trans = 1, ()
+    best = (0, None) if spec.cyclic else (1, ())
     nodes = 0
     exhausted = True
-    for size, trans, branch_nodes, branch_done in outcomes:
+    b, budget = len(spec.allowed_transitions), spec.node_budget
+    for f in range(b):
+        if best[0] >= bound:
+            break
+        # an even share of what the earlier branches left
+        share = None if budget is None else -(-(budget - nodes) // (b - f))
+        best, branch_nodes, branch_done = _explore(
+            tables, spec.cyclic, f, f if split_on_min else 0, share, bound, best
+        )
         nodes += branch_nodes
         exhausted = exhausted and branch_done
-        if size > best_size:
-            best_size, best_trans = size, trans
 
-    best_code = None
-    if best_trans is not None and best_size > 0:
-        best_code = GrayCode(
-            n=spec.n, start=spec.start, transitions=best_trans, cyclic=spec.cyclic
-        )
-    proven = exhausted or best_size >= _metric_bound(spec.metric, spec.n)
+    size, trans = best
+    code = None
+    if trans is not None:
+        code = GrayCode(n=spec.n, start=spec.start, transitions=trans, cyclic=spec.cyclic)
     return SearchResult(
-        best=best_code, size=best_size, proven_optimal=proven, nodes=nodes
+        best=code, size=size, proven_optimal=exhausted or size >= bound, nodes=nodes
     )
 
 

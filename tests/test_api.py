@@ -1,9 +1,11 @@
 """The package's public names: each one resolves, and the module that
-defines it lists it in its own __all__."""
+defines it lists it in its own __all__; and what importing the CLI loads."""
 
 import ast
 import importlib
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,22 @@ def test_exported_name_is_in_its_module_all(name):
     module = importlib.import_module(f"permsnake.{home}")
     assert name in module.__all__
     assert getattr(module, name) is getattr(permsnake, name)
+
+
+def test_cli_import_loads_no_process_machinery():
+    # multiprocessing and concurrent.futures cost about half the CLI's
+    # import time, and the search runs in one process.
+    probe = (
+        "import sys, permsnake.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(Path(permsnake.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

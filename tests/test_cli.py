@@ -103,6 +103,25 @@ def test_verify_metric_override(capsys, monkeypatch):
     assert run(["verify", "-"]) == 2
 
 
+def test_verify_rejects_json_booleans(capsys, monkeypatch):
+    line = '{"n": true, "metric": "kendall", "start": [true], "transitions": [], "cyclic": false}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    assert run(["verify", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 1: n must be an integer" in captured.err
+
+
+def test_verify_error_names_the_input_line(capsys, monkeypatch):
+    assert run(["gen", "linf", "--n", "4"]) == 0
+    good = _stdout_lines(capsys)[0]
+    monkeypatch.setattr("sys.stdin", io.StringIO(good + '\n{"n":5\n'))
+    assert run(["verify", "-"]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["valid"] is True  # line 1 is still reported
+    assert "error: line 2: not valid JSON" in captured.err
+
+
 def test_byte_identical_round_trip(capsys):
     assert run(["gen", "ksnake", "--n", "7"]) == 0
     line = _stdout_lines(capsys)[0]
@@ -152,6 +171,11 @@ def test_search_budget_flag(capsys):
     ) == 0
     obj = json.loads(_stdout_lines(capsys)[0])
     assert obj["nodes"] <= 1000
+
+
+def test_search_spends_the_whole_budget(capsys):
+    assert run(["search", "--n", "5", "--metric", "linf", "--budget", "100"]) == 0
+    assert '"nodes":100' in _stdout_lines(capsys)[0]
 
 
 def test_search_long_budgeted_path(capsys, shallow_stack):

@@ -202,6 +202,20 @@ def test_decode_malformed_inputs():
         decode_code('[1,2,3]')
 
 
+@pytest.mark.parametrize(
+    "key, line",
+    [
+        ("n", '{"n":true,"start":[true],"transitions":[],"cyclic":false}'),
+        ("start", '{"n":1,"start":[true],"transitions":[],"cyclic":false}'),
+        ("transitions", '{"n":3,"start":[1,2,3],"transitions":[3,false],"cyclic":false}'),
+    ],
+)
+def test_decode_rejects_json_booleans(key, line):
+    # bool is an int subclass, but JSON true and false are not integers
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        decode_code(line)
+
+
 @given(
     st.integers(min_value=3, max_value=5).flatmap(
         lambda n: st.lists(

@@ -105,7 +105,7 @@ def test_longest_snake_small_kendall_cases():
 def test_longest_snake_small_linf_case():
     r4 = longest_snake(SearchSpec(n=4, metric="linf"))
     assert (r4.size, r4.proven_optimal) == (6, True)
-    assert r4.nodes == 35
+    assert r4.nodes == 6  # the first code found reaches the bound 4!/4
     assert verify_snake(r4.best, "linf").valid
 
 
@@ -123,14 +123,6 @@ def test_restricted_alphabet_search():
     assert set(r.best.transitions) <= {3, 4}
 
 
-def test_jobs_do_not_change_the_answer():
-    spec = SearchSpec(n=4, metric="kendall")
-    a = longest_snake(spec, jobs=1)
-    b = longest_snake(spec, jobs=2)
-    assert (a.size, a.best, a.proven_optimal) == (b.size, b.best, b.proven_optimal)
-    assert a.nodes == b.nodes
-
-
 def test_tiny_budget_is_not_proven_optimal():
     spec = SearchSpec(n=5, metric="kendall", node_budget=50)
     r = longest_snake(spec)
@@ -145,25 +137,41 @@ def test_budget_shares_are_deterministic(shallow_stack):
         SearchSpec(n=5, metric="linf", node_budget=2000),
         SearchSpec(n=7, metric="kendall", allowed_transitions=(3, 5, 7), node_budget=20000),
     ):
-        a = longest_snake(spec, jobs=1)
-        b = longest_snake(spec, jobs=2)
+        a = longest_snake(spec)
+        b = longest_snake(spec)
         assert (a.size, a.best, a.nodes) == (b.size, b.best, b.nodes)
 
 
+def test_budget_left_by_a_branch_is_handed_on():
+    # Branch t_2 ends at once, because its first push lands in the start's
+    # ball; its share goes to the three branches after it.
+    r = longest_snake(SearchSpec(n=5, metric="linf", node_budget=100))
+    assert r.nodes == 100
+    assert verify_snake(r.best, "linf").valid
+
+
+def test_search_stops_at_the_metric_bound():
+    # Branch t_2 ends at once, branch t_3 reaches 5!/4 = 30 and stops, and
+    # the branches t_4 and t_5 are skipped.
+    r = longest_snake(SearchSpec(n=5, metric="linf"))
+    assert (r.size, r.proven_optimal, r.nodes) == (30, True, 43199)
+    assert verify_snake(r.best, "linf").valid
+
+
 def test_search_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="got 1$"):
         SearchSpec(n=1, metric="kendall")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"got {MAX_SEARCH_N + 1}$"):
         SearchSpec(n=MAX_SEARCH_N + 1, metric="kendall", node_budget=10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="set node_budget"):
         SearchSpec(n=MAX_EXHAUSTIVE_N + 1, metric="kendall")  # needs a budget
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'manhattan'"):
         SearchSpec(n=4, metric="manhattan")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="transition 1 out of range"):
         SearchSpec(n=4, metric="kendall", allowed_transitions=(1, 4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"start \(1, 2, 3\) has length 3, but n is 4"):
         SearchSpec(n=4, metric="kendall", start=(1, 2, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="node_budget must be positive, got 0"):
         SearchSpec(n=4, metric="kendall", node_budget=0)
 
 
@@ -176,23 +184,24 @@ def test_non_identity_start():
 
 
 # (spec, size, nodes, proven_optimal, transitions): the try order, the point
-# of the budget check and the even budget shares fix all four.  The Kendall
-# start is not the identity.
+# of the budget check, the budget shares handed on from branch to branch and
+# the stop at the metric bound fix all four.  The Kendall start in the last
+# spec is not the identity.
 PINNED = [
     (
         SearchSpec(n=6, metric="kendall", node_budget=50000),
-        32, 30005, False,
+        32, 37505, False,
         "33434345334343453343434533434345",
     ),
     (
         SearchSpec(n=6, metric="linf", allowed_transitions=(5, 6), node_budget=20000),
-        90, 20000, True,
+        90, 412, True,
         "555565565655565565655565666565655665665565656565665565656565566565566665666566655666655666",
     ),
-    (SearchSpec(n=7, metric="linf", node_budget=20000), 3, 16666, False, "333"),
+    (SearchSpec(n=7, metric="linf", node_budget=20000), 3, 20000, False, "333"),
     (
         SearchSpec(n=5, metric="linf", node_budget=2000),
-        20, 1500, False,
+        20, 2000, False,
         "33425253545453543355",
     ),
     (
