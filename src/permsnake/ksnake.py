@@ -13,23 +13,27 @@ one per rotation offset c of the a-sequence.  Segment c covers the cycle
 through sigma_0 = [1, a_c, 3, a_{c+1}, ..., a_{c+2n-2}], entered two steps in
 (at t_N t_3 sigma_0) and stitched to the next segment by a t_3.
 
-rank_k / unrank_k follow the recursive structure without expanding the code
-and agree with build_ksnake's enumeration order, rank 0 at the stored start.
-rank_k is exact: it raises ValueError on every permutation outside the code.
-successor_k is the push at rank_k(sigma), read from the segment layout
-(_push_at), so it raises on exactly the words rank_k rejects and works past
-build_ksnake's degree cap.  One normalization is baked in: the recursion's
-natural degree-3 origin is [2,3,1], while the stored degree-3 code starts at
-[1,2,3]; the base-case constants and the subcode origin rank
-(_subcode_origin) are adjusted so that all functions match the expansion
-exactly.
+rank_k / unrank_k agree with build_ksnake's enumeration order, rank 0 at the
+stored start.  Up to degree 7 they read a table built on first use (_table:
+the expanded code and a dict from codeword to rank, 1,575 codewords at
+degree 7).  Above it they follow the recursive structure down to degree 7
+without expanding the code.  rank_k is exact: it raises ValueError on every
+permutation outside the code, the table's dict refusing whatever the
+recursion hands down that is not a degree-7 codeword.  successor_k is the
+push at rank_k(sigma), read from the segment layout (_push_at, which reads
+the stored transitions up to degree 7), so it raises on exactly the words
+rank_k rejects and works past build_ksnake's degree cap.  One normalization
+is baked in: the recursion's natural degree-3 origin is [2,3,1], while the
+stored degree-3 code starts at [1,2,3]; the subcode origin rank
+(_subcode_origin) is adjusted so that build_ksnake(5) and the recursion
+above it match the expansion exactly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .code_model import GrayCode
+from .code_model import GrayCode, expand
 from .perm_core import Perm, check_perm, identity, push_top, sign
 
 __all__ = [
@@ -43,8 +47,9 @@ __all__ = [
 
 MAX_KSNAKE_N = 9
 
-# The degree-3 code in enumeration order.
-_DEGREE3_WORDS: tuple[Perm, ...] = ((1, 2, 3), (3, 1, 2), (2, 3, 1))
+# The largest degree ranked from a table: 1,575 codewords.  Degree 9 would
+# hold 99,225.
+_MAX_TABLE_N = 7
 
 # Recorded checkpoints of the degree-5 code: each 15-codeword segment is
 # pinned at offsets 0, 3, 4, 8, 9, 13, 14 (segment heads, the codewords
@@ -164,12 +169,19 @@ def build_ksnake(N: int) -> GrayCode:
     return GrayCode(n=N, start=start, transitions=tuple(segment) * (2 * n - 1), cyclic=True)
 
 
+@lru_cache(maxsize=None)
+def _table(N: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
+    """The degree-N codewords in rank order, and the rank of each."""
+    words = expand(build_ksnake(N))
+    return words, {w: r for r, w in enumerate(words)}
+
+
 def _push_at(N: int, r: int) -> int:
     """build_ksnake(N).transitions[r], from the segment layout: N repeated
     N-2 times, then M_{N-2}-1 blocks (N+1-k, then N repeated N-1 times),
     then 3, 3; block b's k is the degree N-2 push at its subcode rank."""
-    if N == 3:
-        return 3
+    if N <= _MAX_TABLE_N:
+        return build_ksnake(N).transitions[r]
     m = ksnake_size(N - 2)
     pos = r % (N * m) - (N - 2)
     if pos < 0:
@@ -204,16 +216,14 @@ def rank_k(sigma: Perm) -> int:
         raise ValueError(f"degree must be odd and >= 3, got {N}")
     try:
         return _rank_k(sigma)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ValueError(f"{sigma} is not a codeword of the degree-{N} code") from None
 
 
 def _rank_k(sigma: Perm) -> int:
     N = len(sigma)
-    if N == 3:
-        # Refuses the three odd words, where most non-codewords of higher
-        # degree end up: the formula below would rank them too.
-        return _DEGREE3_WORDS.index(sigma)
+    if N <= _MAX_TABLE_N:
+        return _table(N)[1][sigma]
     n = (N - 1) // 2
     i = sigma.index(1)
     rot = sigma[i:] + sigma[:i]  # rot = (1, a_j, tail)
@@ -234,9 +244,9 @@ def unrank_k(n: int, k: int) -> Perm:
     size = ksnake_size(2 * n + 1)
     if not 0 <= k < size:
         raise ValueError(f"rank {k} out of range 0..{size - 1}")
-    if n == 1:
-        return _DEGREE3_WORDS[k]
     N = 2 * n + 1
+    if N <= _MAX_TABLE_N:
+        return _table(N)[0][k]
     m_small = ksnake_size(N - 2)
     j, pos = divmod(k, N * m_small)
     sub_rank = ((pos + 1) // N + 1 + _subcode_origin(n)) % m_small

@@ -17,8 +17,14 @@ even-top variant swaps the roles (strictly smaller for odd n).
 
 rank_inf / unrank_inf index the default variant without expanding it; rank
 0 is the stored start, and rank_inf raises ValueError on every permutation
-outside the code.  successor_inf is the push at rank_inf(sigma), read from
-the block layout, so it raises on exactly the words rank_inf rejects.
+outside the code.  It needs no unrank to confirm a rank: a codeword holds the
+q even values either in positions 0..q around one odd value, in the block's
+rotation order (ascending, or 4, 2, 6, ... in odd-numbered blocks), or in
+positions 0..q-1 ending with 2q.  rank_inf checks exactly that, so the
+remaining positions hold the odd values, and the complete codes over S_p and
+S_{q-1} rank every arrangement of those.  successor_inf is the push at
+rank_inf(sigma), read from the block layout, so it raises on exactly the
+words rank_inf rejects.
 """
 
 from __future__ import annotations
@@ -126,7 +132,18 @@ def successor_inf(sigma: Perm) -> int:
     return q + build_rmgc(p).code.transitions[r_block]
 
 
+@lru_cache(maxsize=None)
+def _evens(q: int, odd_block: bool) -> tuple[int, ...]:
+    """The even values in the order a block rotates them: ascending, or
+    (4, 2, 6, ...) in the odd-numbered blocks when q > 2."""
+    a = tuple(range(2, 2 * q + 1, 2))
+    return a[1::-1] + a[2:] if odd_block and q > 2 else a
+
+
 def _rank_inf_raw(sigma: Perm, p: int, q: int) -> int:
+    """Rank of sigma; raises ValueError when sigma is not a codeword.  Each
+    phase checks where the even values sit, which leaves only odd values in
+    the other positions, so the odd arrangement needs no check of its own."""
     blk = q + factorial(q - 1)
     odd_table = build_rmgc(p)
     if sigma[q] % 2 == 0:
@@ -134,7 +151,12 @@ def _rank_inf_raw(sigma: Perm, p: int, q: int) -> int:
         odd_seq = ((sigma[idx] + 1) // 2,) + tuple(
             (v + 1) // 2 for v in sigma[q + 1 :]
         )
-        return idx + blk * rmgc_rank(odd_table, odd_seq)
+        r_block = rmgc_rank(odd_table, odd_seq)
+        if sigma[idx + 1 : q + 1] + sigma[:idx] != _evens(q, r_block % 2 == 1):
+            raise ValueError("the even values are not a block rotation")
+        return idx + blk * r_block
+    if sigma[q - 1] != 2 * q or any(v % 2 for v in sigma[: q - 1]):
+        raise ValueError("the even values do not lead the word")
     odd_half = tuple((v + 1) // 2 for v in sigma[q:])
     r_block = rmgc_rank(odd_table, odd_half)
     if q == 2:
@@ -153,14 +175,11 @@ def rank_inf(sigma: Perm) -> int:
     sigma = check_perm(sigma)
     n, p, q = _split(sigma)
     try:
-        r = _rank_inf_raw(sigma, p, q)
-    except (ValueError, StopIteration):
+        return _rank_inf_raw(sigma, p, q)
+    except ValueError:
         raise ValueError(
             f"{sigma} is not a codeword of the length-{n} code"
         ) from None
-    if unrank_inf(n, r) != sigma:
-        raise ValueError(f"{sigma} is not a codeword of the length-{n} code")
-    return r
 
 
 def unrank_inf(n: int, k: int) -> Perm:
@@ -176,10 +195,7 @@ def unrank_inf(n: int, k: int) -> Perm:
     r_block, r = divmod(k, blk)
     odd_head = rmgc_unrank(build_rmgc(p), r_block)
     odds = tuple(2 * v - 1 for v in odd_head)
-    if r_block % 2 == 0 or q == 2:
-        a = tuple(range(2, 2 * q + 1, 2))
-    else:
-        a = (4, 2) + tuple(range(6, 2 * q + 1, 2))
+    a = _evens(q, r_block % 2 == 1)
     if r < q:
         return a[q - r :] + (odds[0],) + a[: q - r] + odds[1:]
     prefix = rmgc_unrank(build_rmgc(q - 1), r - q)

@@ -156,9 +156,7 @@ def _explore(
     blocked = [0] * len(balls)
     for u in balls[tables.start]:
         blocked[u] += 1
-    # The budget is checked before each placement but the first, which a
-    # branch always makes.
-    limit = math.inf if budget is None else max(budget, 1)
+    limit = math.inf if budget is None else budget
     best_size, best_trans = best
     nodes = 0
     # One entry (state, the push that reached it, the untried siblings) per

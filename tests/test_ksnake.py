@@ -2,9 +2,13 @@
 
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permsnake
 from permsnake.code_model import balance_gap, expand, verify_snake
 from permsnake.ksnake import (
     MAX_KSNAKE_N,
@@ -99,7 +103,7 @@ def test_successor_steps_to_the_next_rank_past_the_build_cap():
         assert push_top(successor_k(5, w), w) == unrank_k(5, k + 1)
 
 
-@pytest.mark.parametrize("N", [3, 5, 7])
+@pytest.mark.parametrize("N", [3, 5, 7, 9])
 def test_rank_and_unrank_are_mutually_inverse(N):
     n = (N - 1) // 2
     words = expand(build_ksnake(N))
@@ -164,3 +168,72 @@ def test_rank_is_exact_on_the_whole_symmetric_group(N):
                 rank_k(p)
             with pytest.raises(ValueError, match="not a codeword"):
                 successor_k(n, p)
+
+
+def _adjacent_swaps(w):
+    for i in range(len(w) - 1):
+        yield w[:i] + (w[i + 1], w[i]) + w[i + 2 :]
+
+
+def test_rank_refuses_adjacent_swaps_of_degree_nine_codewords():
+    # Ranks up to degree 7 come from a table; degree 9 runs the recursion
+    # above it.  An adjacent swap flips the sign, so no neighbour is a
+    # codeword.
+    rng = random.Random(9)
+    for k in rng.sample(range(ksnake_size(9)), 2000):
+        for p in _adjacent_swaps(unrank_k(4, k)):
+            with pytest.raises(ValueError, match="not a codeword"):
+                rank_k(p)
+            with pytest.raises(ValueError, match="not a codeword"):
+                successor_k(4, p)
+
+
+def _rank_or_none(p):
+    try:
+        return rank_k(p)
+    except ValueError:
+        return None
+
+
+def test_rank_is_exact_on_random_degree_nine_permutations():
+    ranks = {w: r for r, w in enumerate(expand(build_ksnake(9)))}
+    rng = random.Random(99)
+    for _ in range(20000):
+        p = tuple(rng.sample(range(1, 10), 9))
+        assert _rank_or_none(p) == ranks.get(p)
+        if p not in ranks:
+            with pytest.raises(ValueError, match="not a codeword"):
+                successor_k(4, p)
+
+
+def test_rank_on_random_degree_eleven_permutations():
+    # No degree-11 code is built, so an accepted word must unrank back to
+    # itself and step to the next rank, and an odd word is always refused.
+    n, size = 5, ksnake_size(11)
+    rng = random.Random(1111)
+    accepted = 0
+    for _ in range(20000):
+        p = tuple(rng.sample(range(1, 12), 11))
+        r = _rank_or_none(p)
+        if r is None:
+            with pytest.raises(ValueError, match="not a codeword"):
+                successor_k(n, p)
+            continue
+        accepted += 1
+        assert sign(p) == 1
+        assert unrank_k(n, r) == p
+        assert push_top(successor_k(n, p), p) == unrank_k(n, (r + 1) % size)
+    assert accepted > 0
+
+
+def test_cli_import_builds_no_rank_table():
+    probe = "import permsnake.cli, permsnake.ksnake as k; print(k._table.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={"PYTHONPATH": str(Path(permsnake.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from permsnake import linf_snake
 from permsnake.code_model import expand, verify_snake
 from permsnake.linf_snake import (
     MAX_LINF_N,
@@ -108,7 +109,7 @@ def test_successor_walks_the_whole_cycle(n):
         assert push_top(t, w) == words[(r + 1) % M]
 
 
-@pytest.mark.parametrize("n", range(MIN_LINF_N, 8))
+@pytest.mark.parametrize("n", range(MIN_LINF_N, 9))
 def test_rank_and_unrank_are_mutually_inverse(n):
     words = expand(build_linf_snake(n))
     for r, w in enumerate(words):
@@ -123,11 +124,32 @@ def test_rank_rejects_non_codewords():
         rank_inf((1, 3, 2, 4))
 
 
-@pytest.mark.parametrize("n", range(MIN_LINF_N, 8))
+@pytest.mark.parametrize("n", range(MIN_LINF_N, 9))
 def test_rank_and_successor_reject_every_non_codeword(n):
     words = set(expand(build_linf_snake(n)))
     for p in itertools.permutations(range(1, n + 1)):
         if p not in words:
+            with pytest.raises(ValueError, match="not a codeword"):
+                rank_inf(p)
+            with pytest.raises(ValueError, match="not a codeword"):
+                successor_inf(p)
+
+
+def test_rank_is_exact_without_unranking(monkeypatch):
+    n = 10
+    code = build_linf_snake(n)
+    words = expand(code)
+
+    def refuse(*args):
+        raise AssertionError("rank_inf called unrank_inf")
+
+    monkeypatch.setattr(linf_snake, "unrank_inf", refuse)
+    for r, w in enumerate(words):
+        assert rank_inf(w) == r
+        assert successor_inf(w) == code.transitions[r]
+        # swapping the values v and v+1 moves w by 1 in the Chebyshev metric
+        for v in range(1, n):
+            p = tuple(v + 1 if x == v else v if x == v + 1 else x for x in w)
             with pytest.raises(ValueError, match="not a codeword"):
                 rank_inf(p)
             with pytest.raises(ValueError, match="not a codeword"):

@@ -150,6 +150,21 @@ def test_budget_left_by_a_branch_is_handed_on():
     assert verify_snake(r.best, "linf").valid
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SearchSpec(n=6, metric="kendall", node_budget=2),
+        SearchSpec(n=5, metric="linf", node_budget=1),
+    ],
+    ids=["kendall6_b2", "linf5_b1"],
+)
+def test_a_budget_below_the_branch_count_is_not_overspent(spec):
+    # The later branches get a share of 0 and place nothing.
+    r = longest_snake(spec)
+    assert r.nodes == spec.node_budget
+    assert not r.proven_optimal
+
+
 def test_search_stops_at_the_metric_bound():
     # Branch t_2 ends at once, branch t_3 reaches 5!/4 = 30 and stops, and
     # the branches t_4 and t_5 are skipped.
