@@ -8,6 +8,7 @@ verification or a repro check failed, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -45,7 +46,10 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every run
+    call: building it takes about as long as a small verify request."""
     parser = argparse.ArgumentParser(
         prog="permsnake",
         description="Construct, verify, enumerate, search, and bound "
@@ -242,7 +246,7 @@ def _cmd_search(args) -> int:
     _note(
         f"longest {args.metric} snake found: size {result.size} "
         f"({'proven optimal' if result.proven_optimal else 'not proven optimal'}), "
-        f"{result.nodes} nodes"
+        f"{result.nodes} nodes over an orbit of {result.states} states"
     )
     return 0
 
@@ -313,9 +317,8 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .code_model import GrayCode, expand
-from .perm_core import Perm, check_perm, identity, push_top, sign
+from .perm_core import MAX_N, Perm, check_perm, identity, push_top, sign
 
 __all__ = [
     "RECORDED_K5_CHECKPOINTS",
@@ -238,21 +238,32 @@ def _rank_k(sigma: Perm) -> int:
 
 
 def unrank_k(n: int, k: int) -> Perm:
-    """Codeword at rank k of build_ksnake(2n+1); inverse of rank_k."""
+    """Codeword at rank k of build_ksnake(2n+1); inverse of rank_k.
+
+    Raises ValueError when 2n+1 is over perm_core.MAX_N, whose words rank_k
+    refuses, or k is out of range.
+    """
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
-    size = ksnake_size(2 * n + 1)
+    N = 2 * n + 1
+    if N > MAX_N:
+        raise ValueError(f"degree N = {N} is over the permutation length cap {MAX_N}")
+    size = ksnake_size(N)
     if not 0 <= k < size:
         raise ValueError(f"rank {k} out of range 0..{size - 1}")
-    N = 2 * n + 1
+    return _unrank_k(N, k)
+
+
+def _unrank_k(N: int, k: int) -> Perm:
     if N <= _MAX_TABLE_N:
         return _table(N)[0][k]
+    n = (N - 1) // 2
     m_small = ksnake_size(N - 2)
     j, pos = divmod(k, N * m_small)
     sub_rank = ((pos + 1) // N + 1 + _subcode_origin(n)) % m_small
     up = _value_maps(n, j)[1]
     sigma = (1, _alphabet_value(n, j)) + tuple(
-        map(up.__getitem__, reversed(unrank_k(n - 1, sub_rank)))
+        map(up.__getitem__, reversed(_unrank_k(N - 2, sub_rank)))
     )
     shift = (pos + 2) % N  # that many t_N pushes: a right rotation
     return sigma[-shift:] + sigma[:-shift]

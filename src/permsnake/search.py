@@ -1,10 +1,13 @@
 """Depth-first search for maximal snakes, plus recorded search results.
 
 The search walks push-to-top extensions from a fixed start permutation with
-an explicit stack, over tables of S_n built once per call, keeping a
-blocked-counter over the whole symmetric group: placing a codeword
-increments every state in its closed radius-1 ball, so a candidate extension
-is legal exactly when its counter is zero.  Transitions are tried in
+an explicit stack.  Its tables, built once per call, cover the orbit of the
+start under the allowed pushes and nothing else, because no code through the
+start leaves it: the odd pushes t_3, t_5, ... reach at most the n!/2
+permutations of the start's parity, and a single push t_k only k of them.
+It keeps a blocked-counter over the orbit: placing a codeword increments
+every state of the orbit in its closed radius-1 ball, so a candidate
+extension is legal exactly when its counter is zero.  Transitions are tried in
 ascending index order, which makes the first maximal code found the
 lexicographically least witness and the whole search deterministic.
 
@@ -101,42 +104,57 @@ class SearchSpec:
 @dataclass(frozen=True)
 class SearchResult:
     """best is None only when no code satisfying the spec was found (a cyclic
-    spec admitting no closure at all)."""
+    spec admitting no closure at all).  states is the size of the start's
+    orbit under the allowed pushes, the states the search could reach."""
 
     best: Optional[GrayCode]
     size: int
     proven_optimal: bool
     nodes: int
+    states: int
 
 
 @dataclass(frozen=True)
 class _Tables:
-    """The S_n tables of one search, over the spec's sorted alphabet."""
+    """The tables of one search over the orbit of its start under the
+    spec's sorted alphabet; state 0 is the start."""
 
-    balls: list[tuple[int, ...]]  # closed radius-1 ball of each state
+    balls: list[tuple[int, ...]]  # closed radius-1 ball in the orbit; the start only in its own
     moves: list[tuple[tuple[int, int], ...]]  # (t, push_top(t, state)) per t
     closers: tuple[tuple[int, int], ...]  # (t, the state t pushes to the start) per t
-    start: int
 
 
 def _build_tables(spec: SearchSpec) -> _Tables:
-    perms = list(itertools.permutations(range(1, spec.n + 1)))
-    # Balls come as perm_key ints; pushes stay tuples, which hash faster
-    # than they pack.
-    index = {p: i for i, p in enumerate(perms)}
-    key_index = dict(zip(map(perm_key, perms), range(len(perms))))
-    neighbours = NEIGHBOURS[spec.metric]
-    balls = [(i, *map(key_index.__getitem__, neighbours(p))) for i, p in enumerate(perms)]
     alphabet = spec.allowed_transitions
     # push_top(t, p) takes p's entries in the order that push_top(t, ·) puts
     # the positions 0..n-1 in.
     pushes = [itemgetter(*push_top(t, tuple(range(spec.n)))) for t in alphabet]
-    targets = [list(map(index.__getitem__, map(push, perms))) for push in pushes]
-    moves = [tuple(zip(alphabet, row)) for row in zip(*targets)]
-    # t pushes s[1:t] + s[:1] + s[t:] to s, and no other state.
+    # Breadth-first from the start: setdefault gives each state its number,
+    # and a state reached for the first time the next one, len(index), which
+    # numbers reads just before each call.  A level is a run of consecutive
+    # numbers, so each column lists its push's moves in state order.
+    index = {spec.start: 0}
+    numbers = iter(index.__len__, -1)
+    columns: list[list[tuple[int, int]]] = [[] for _ in alphabet]
+    level = [spec.start]
+    while level:
+        reached = len(index)
+        for column, t, push in zip(columns, alphabet, pushes):
+            column += zip(itertools.repeat(t), map(index.setdefault, map(push, level), numbers))
+        level = list(itertools.islice(index, reached, None))
+    moves = list(zip(*columns))
+    # Balls come as perm_key ints.  filter(None, ·) drops the members outside
+    # the orbit, which get maps to None: the search never places, so never
+    # looks up, such a state.  It drops the start, 0, too, whose counter
+    # never reaches zero anyway, because the start stays placed.
+    key_index = dict(zip(map(perm_key, index), range(len(index))))
+    neighbours = NEIGHBOURS[spec.metric]
+    balls = [(i, *filter(None, map(key_index.get, neighbours(p)))) for i, p in enumerate(index)]
+    # t pushes s[1:t] + s[:1] + s[t:] to s, and no other state; it is in the
+    # orbit, because t applied t-1 times to s gives it.
     s = spec.start
     closers = tuple((t, index[s[1:t] + s[:1] + s[t:]]) for t in alphabet)
-    return _Tables(balls, moves, closers, index[s])
+    return _Tables(balls, moves, closers)
 
 
 def _explore(
@@ -154,7 +172,7 @@ def _explore(
     for t, state in tables.closers[offset:]:
         closing[state] = t
     blocked = [0] * len(balls)
-    for u in balls[tables.start]:
+    for u in balls[0]:
         blocked[u] += 1
     limit = math.inf if budget is None else budget
     best_size, best_trans = best
@@ -162,7 +180,7 @@ def _explore(
     # One entry (state, the push that reached it, the untried siblings) per
     # placed state; children iterates the top state's untried pushes.
     stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
-    children = iter(tables.moves[tables.start][first : first + 1])
+    children = iter(tables.moves[0][first : first + 1])
     while True:
         for t, nxt in children:
             if not blocked[nxt]:
@@ -222,7 +240,8 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
     if trans is not None:
         code = GrayCode(n=spec.n, start=spec.start, transitions=trans, cyclic=spec.cyclic)
     return SearchResult(
-        best=code, size=size, proven_optimal=exhausted or size >= bound, nodes=nodes
+        best=code, size=size, proven_optimal=exhausted or size >= bound, nodes=nodes,
+        states=len(tables.balls),
     )
 
 

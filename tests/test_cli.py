@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from permsnake.cli import run
+from permsnake.cli import build_parser, run
 from permsnake.repro import REPRO_CHECKS
 
 
@@ -165,6 +165,19 @@ def test_search_command(capsys):
     assert obj["best"]["transitions"] == [3, 4, 3, 4, 3, 4, 3, 4]
 
 
+def test_search_output_and_orbit_note(capsys):
+    assert run(["search", "--n", "5", "--metric", "kendall", "--transitions", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (
+        '{"size":3,"proven_optimal":true,"nodes":2,"best":{"n":5,"metric":"kendall",'
+        '"start":[1,2,3,4,5],"transitions":[3,3,3],"cyclic":true}}\n'
+    )
+    assert captured.err == (
+        "longest kendall snake found: size 3 (proven optimal), "
+        "2 nodes over an orbit of 3 states\n"
+    )
+
+
 def test_search_budget_flag(capsys):
     assert run(
         ["search", "--n", "5", "--metric", "linf", "--budget", "1000"]
@@ -272,11 +285,41 @@ def test_unknown_subcommand_exits_two(capsys):
     assert run(["frobnicate"]) == 2
 
 
+def test_repeated_runs_share_one_parser(capsys):
+    # The parser is built once per process; a usage error between two
+    # calls leaves the next call's output as it was.
+    calls = [
+        (["search", "--n", "4", "--metric", "kendall"], 0),
+        (["rank", "--family", "ksnake", "--n", "5", "--perm", "[3,1,2,4,5]"], 0),
+        (["search", "--n", "4", "--metric", "chebyshev"], 2),
+        (["rank", "--family", "ksnake", "--n", "5", "--perm", "[3,1,2,4,5]"], 0),
+        (["search", "--n", "4", "--metric", "kendall"], 0),
+    ]
+    outputs = []
+    for argv, code in calls:
+        assert run(argv) == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[4]
+    assert outputs[1] == outputs[3]
+    assert outputs[1].out == "14\n"
+    assert outputs[0].out.startswith('{"size":8,"proven_optimal":true,"nodes":20,')
+    assert "invalid choice: 'chebyshev'" in outputs[2].err
+    assert build_parser() is build_parser()
+
+
 def test_rank_rejects_non_codeword(capsys):
     assert (
         run(["rank", "--family", "linf", "--n", "4", "--perm", "[1,3,2,4]"]) == 2
     )
     assert "not a codeword" in capsys.readouterr().err
+
+
+def test_unrank_past_the_length_cap_exits_two(capsys):
+    argv = ["unrank", "--family", "ksnake", "--n", "21", "--rank", "5"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degree N = 21 is over the permutation length cap 20" in captured.err
 
 
 def test_rank_rejects_kendall_non_codeword(capsys):
@@ -316,7 +359,7 @@ def test_verify_cap_requires_force(capsys, monkeypatch, gen_args, size):
 NUMPY_FREE_PIPELINE = """
 import contextlib, io, sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
-from permsnake.cli import run
+from permsnake.cli import build_parser, run
 for gen in (["ksnake", "--n", "7"], ["linf", "--n", "9"]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -140,6 +140,14 @@ def test_unrank_rejects_out_of_range_rank():
         unrank_k(2, -1)
 
 
+def test_unrank_stops_at_the_length_cap():
+    # N = 19 is the largest odd degree within MAX_N = 20; rank_k refuses
+    # every longer word, so unrank_k must not produce one.
+    assert rank_k(unrank_k(9, 5)) == 5
+    with pytest.raises(ValueError, match="degree N = 21 is over the permutation length cap 20"):
+        unrank_k(10, 5)
+
+
 def test_balance_gap_stays_small():
     for N in (3, 5, 7):
         assert balance_gap(build_ksnake(N)) <= N + 2

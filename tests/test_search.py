@@ -1,12 +1,13 @@
 """Depth-first search, recorded fixtures, and the completion construction."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
 from permsnake.code_model import expand, verify_snake
 from permsnake.ksnake import build_ksnake
-from permsnake.perm_core import sign
+from permsnake.perm_core import push_top, sign
 from permsnake.search import (
     MAX_EXHAUSTIVE_N,
     MAX_SEARCH_N,
@@ -18,6 +19,7 @@ from permsnake.search import (
     longest_snake,
     parse_octal_code,
     recorded_octal_code,
+    _build_tables,
 )
 
 
@@ -198,10 +200,24 @@ def test_non_identity_start():
     assert verify_snake(r.best, "kendall").valid
 
 
+def _orbit_size(spec):
+    """The number of states push_top reaches from the start: the reference
+    for SearchResult.states."""
+    seen, todo = {spec.start}, [spec.start]
+    while todo:
+        p = todo.pop()
+        for t in spec.allowed_transitions:
+            q = push_top(t, p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen)
+
+
 # (spec, size, nodes, proven_optimal, transitions): the try order, the point
 # of the budget check, the budget shares handed on from branch to branch and
-# the stop at the metric bound fix all four.  The Kendall start in the last
-# spec is not the identity.
+# the stop at the metric bound fix all four.  The Kendall n=5 spec starts
+# away from the identity.
 PINNED = [
     (
         SearchSpec(n=6, metric="kendall", node_budget=50000),
@@ -227,6 +243,13 @@ PINNED = [
         33, 1004, False,
         "335335353353533535335533533535555",
     ),
+    (
+        SearchSpec(n=7, metric="kendall", allowed_transitions=(3, 5, 7), node_budget=20000),
+        153, 13340, False,
+        "335335337335335337335335353353373353353373353353533533733533533733533535"
+        "335337335335337335335353353373353353373353353533533733533533733533535335"
+        "335777777",
+    ),
 ]
 
 
@@ -234,13 +257,14 @@ PINNED = [
     "spec, size, nodes, proven, transitions",
     PINNED,
     ids=["kendall6_b50000", "linf6_p56_b20000", "linf7_b20000", "linf5_b2000",
-         "kendall5_p35_b2000_start31524"],
+         "kendall5_p35_b2000_start31524", "kendall7_p357_b20000"],
 )
 def test_pinned_search_results(spec, size, nodes, proven, transitions):
     r = longest_snake(spec)
     assert (r.size, r.nodes, r.proven_optimal) == (size, nodes, proven)
     assert r.best.start == spec.start
     assert r.best.transitions == tuple(map(int, transitions))
+    assert r.states == _orbit_size(spec)
 
 
 @pytest.mark.parametrize(
@@ -255,3 +279,54 @@ def test_long_paths_need_no_deep_stack(shallow_stack, spec):
     r = longest_snake(spec)
     assert r.nodes <= 20000
     assert verify_snake(r.best, "kendall").valid
+
+
+def _sweep_cases():
+    for line in (Path(__file__).parent / "search_sweep.txt").read_text().splitlines():
+        if line.startswith("#"):
+            continue
+        n, metric, cyclic, alphabet, start, size, nodes, proven, transitions = line.split()
+        n = int(n)
+        spec = SearchSpec(
+            n=n, metric=metric, cyclic=cyclic == "cyclic",
+            allowed_transitions=tuple(map(int, alphabet)),
+            start=tuple(range(1, n + 1)) if start == "up" else tuple(range(n, 0, -1)),
+            node_budget=2000 if n == 5 else None,
+        )
+        expected = (int(size), int(nodes), proven == "proven",
+                    None if transitions == "none"
+                    else () if transitions == "empty" else tuple(map(int, transitions)))
+        yield pytest.param(spec, expected, id="-".join(line.split()[:5]))
+
+
+@pytest.mark.parametrize("spec, expected", _sweep_cases())
+def test_every_small_alphabet_keeps_its_result(spec, expected):
+    r = longest_snake(spec)
+    transitions = None if r.best is None else r.best.transitions
+    assert (r.size, r.nodes, r.proven_optimal, transitions) == expected
+    if r.best is not None:
+        assert (r.best.start, r.best.cyclic) == (spec.start, spec.cyclic)
+    assert r.states == _orbit_size(spec)
+
+
+@pytest.mark.parametrize(
+    "spec, size, nodes, states",
+    [
+        # t_3 cycles through three states, the closing push included
+        (SearchSpec(n=5, metric="kendall", allowed_transitions=(3,)), 3, 2, 3),
+        # t_2 swaps back and forth between two states at Kendall distance 1
+        (SearchSpec(n=4, metric="kendall", allowed_transitions=(2,)), 0, 0, 2),
+    ],
+    ids=["kendall5_p3", "kendall4_p2"],
+)
+def test_tiny_orbits(spec, size, nodes, states):
+    r = longest_snake(spec)
+    assert (r.size, r.proven_optimal, r.nodes, r.states) == (size, True, nodes, states)
+    assert (r.best is None) == (size == 0)
+
+
+def test_odd_push_kendall_balls_hold_only_their_centre():
+    # Odd pushes keep the parity, and a Kendall neighbour has the other one.
+    tables = _build_tables(SearchSpec(n=5, metric="kendall", allowed_transitions=(3, 5)))
+    assert len(tables.balls) == 60
+    assert all(ball == (i,) for i, ball in enumerate(tables.balls))
