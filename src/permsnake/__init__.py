@@ -24,6 +24,7 @@ from .code_model import (
     encode_code,
     expand,
     verify_snake,
+    word_ranks,
 )
 from .ksnake import (
     RECORDED_K5_CHECKPOINTS,
@@ -51,7 +52,7 @@ from .perm_core import (
     push_top,
     sign,
 )
-from .rmgc import RmgcTable, build_rmgc, rmgc_rank, rmgc_unrank
+from .rmgc import build_rmgc
 from .search import (
     RECORDED_OCTAL_CODES,
     SearchResult,
@@ -72,7 +73,6 @@ __all__ = [
     "MAX_N",
     "RECORDED_K5_CHECKPOINTS",
     "RECORDED_OCTAL_CODES",
-    "RmgcTable",
     "SearchResult",
     "SearchSpec",
     "SnakeReport",
@@ -104,8 +104,6 @@ __all__ = [
     "rank_inf",
     "rank_k",
     "recorded_octal_code",
-    "rmgc_rank",
-    "rmgc_unrank",
     "sign",
     "successor_inf",
     "successor_k",
@@ -113,4 +111,5 @@ __all__ = [
     "unrank_inf",
     "unrank_k",
     "verify_snake",
+    "word_ranks",
 ]

@@ -100,5 +100,7 @@ def bounds_row(n: int) -> BoundsRow:
 def bounds_table(n_lo: int, n_hi: int) -> tuple[BoundsRow, ...]:
     """Rows for n_lo..n_hi inclusive, 2 <= n_lo <= n_hi <= 20."""
     if not 2 <= n_lo <= n_hi <= MAX_N:
-        raise ValueError(f"need 2 <= n_lo <= n_hi <= {MAX_N}")
+        raise ValueError(
+            f"need 2 <= n_lo <= n_hi <= {MAX_N}, got n_lo={n_lo}, n_hi={n_hi}"
+        )
     return tuple(bounds_row(n) for n in range(n_lo, n_hi + 1))

@@ -8,6 +8,7 @@ verification or a repro check failed, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -104,7 +105,7 @@ def _cmd_gen(args) -> int:
     elif args.family == "linf":
         _emit_code_line(build_linf_snake(args.n, args.variant), "linf")
     else:
-        _emit_code_line(build_rmgc(args.n).code, None)
+        _emit_code_line(build_rmgc(args.n), None)
     return 0
 
 
@@ -208,7 +209,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     transitions = None
-    if args.transitions:
+    if args.transitions is not None:
         try:
             transitions = tuple(int(part) for part in args.transitions.split(","))
         except ValueError:
@@ -222,7 +223,7 @@ def _cmd_search(args) -> int:
     if budget is None and not args.exhaustive and args.n >= 6:
         budget = DEFAULT_NODE_BUDGET
         _note(f"n >= 6: defaulting to node budget {budget} (use --exhaustive to override)")
-    start = parse_perm(args.start) if args.start else None
+    start = parse_perm(args.start) if args.start is not None else None
     spec = SearchSpec(
         n=args.n,
         metric=args.metric,
@@ -252,16 +253,9 @@ def _cmd_search(args) -> int:
 
 
 def _row_json(row: BoundsRow) -> dict:
-    return {
-        "n": row.n,
-        "trivial_upper": row.trivial_upper,
-        "linf_upper": row.linf_upper,
-        "ksnake_size": row.ksnake_size,
-        "ksnake_density": str(row.ksnake_density) if row.ksnake_density else None,
-        "ksnake_rate": row.ksnake_rate,
-        "linf_size": row.linf_size,
-        "linf_rate": row.linf_rate,
-    }
+    out = dataclasses.asdict(row)
+    out["ksnake_density"] = str(row.ksnake_density) if row.ksnake_density else None
+    return out
 
 
 def _cmd_bounds(args) -> int:

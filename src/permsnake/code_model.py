@@ -39,6 +39,7 @@ __all__ = [
     "encode_code",
     "expand",
     "verify_snake",
+    "word_ranks",
 ]
 
 METRICS = ("kendall", "linf")
@@ -91,23 +92,20 @@ class SnakeReport:
     witness: Optional[tuple[int, int]]
 
 
-def expand(code: GrayCode) -> tuple[Perm, ...]:
-    """All codewords in rank order, starting at code.start.
+def word_ranks(code: GrayCode) -> dict[Perm, int]:
+    """The rank of each codeword, keyed in rank order from code.start.
 
     Raises ValueError on a repeated codeword (reporting the first collision)
     or, for cyclic codes, when the final transition does not return to start.
     """
-    words = [code.start]
-    seen = {code.start: 0}
+    ranks = {code.start: 0}
     cur = code.start
     steps = code.transitions if not code.cyclic else code.transitions[:-1]
-    for k, t in enumerate(steps):
+    for k, t in enumerate(steps, 1):
         cur = push_top(t, cur)
-        dup = seen.get(cur)
-        if dup is not None:
-            raise ValueError(f"codeword at rank {k + 1} repeats rank {dup}: {cur}")
-        seen[cur] = k + 1
-        words.append(cur)
+        dup = ranks.setdefault(cur, k)
+        if dup != k:
+            raise ValueError(f"codeword at rank {k} repeats rank {dup}: {cur}")
     if code.cyclic:
         closing = push_top(code.transitions[-1], cur)
         if closing != code.start:
@@ -115,7 +113,13 @@ def expand(code: GrayCode) -> tuple[Perm, ...]:
                 f"cyclic code does not close: final transition yields {closing}, "
                 f"start is {code.start}"
             )
-    return tuple(words)
+    return ranks
+
+
+def expand(code: GrayCode) -> tuple[Perm, ...]:
+    """All codewords in rank order, starting at code.start.  Raises
+    ValueError where word_ranks does."""
+    return tuple(word_ranks(code))
 
 
 def _verify_pairs(words: tuple[Perm, ...], metric: str) -> SnakeReport:

@@ -15,25 +15,25 @@ through sigma_0 = [1, a_c, 3, a_{c+1}, ..., a_{c+2n-2}], entered two steps in
 
 rank_k / unrank_k agree with build_ksnake's enumeration order, rank 0 at the
 stored start.  Up to degree 7 they read a table built on first use (_table:
-the expanded code and a dict from codeword to rank, 1,575 codewords at
-degree 7).  Above it they follow the recursive structure down to degree 7
-without expanding the code.  rank_k is exact: it raises ValueError on every
-permutation outside the code, the table's dict refusing whatever the
-recursion hands down that is not a degree-7 codeword.  successor_k is the
-push at rank_k(sigma), read from the segment layout (_push_at, which reads
-the stored transitions up to degree 7), so it raises on exactly the words
-rank_k rejects and works past build_ksnake's degree cap.  One normalization
-is baked in: the recursion's natural degree-3 origin is [2,3,1], while the
-stored degree-3 code starts at [1,2,3]; the subcode origin rank
-(_subcode_origin) is adjusted so that build_ksnake(5) and the recursion
-above it match the expansion exactly.
+code_model.word_ranks of the code and its keys in rank order, 1,575
+codewords at degree 7).  Above it they follow the recursive structure down
+to degree 7 without expanding the code.  rank_k is exact: it raises
+ValueError on every permutation outside the code, the table's dict refusing
+whatever the recursion hands down that is not a degree-7 codeword.
+successor_k is the push at rank_k(sigma), read from the segment layout
+(_push_at, which reads the stored transitions up to degree 7), so it raises
+on exactly the words rank_k rejects and works past build_ksnake's degree
+cap.  One normalization is baked in: the recursion's natural degree-3 origin
+is [2,3,1], while the stored degree-3 code starts at [1,2,3]; the subcode
+origin rank (_subcode_origin) is adjusted so that build_ksnake(5) and the
+recursion above it match the expansion exactly.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .code_model import GrayCode, expand
+from .code_model import GrayCode, word_ranks
 from .perm_core import MAX_N, Perm, check_perm, identity, push_top, sign
 
 __all__ = [
@@ -172,8 +172,8 @@ def build_ksnake(N: int) -> GrayCode:
 @lru_cache(maxsize=None)
 def _table(N: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
     """The degree-N codewords in rank order, and the rank of each."""
-    words = expand(build_ksnake(N))
-    return words, {w: r for r, w in enumerate(words)}
+    ranks = word_ranks(build_ksnake(N))
+    return tuple(ranks), ranks
 
 
 def _push_at(N: int, r: int) -> int:
@@ -199,10 +199,12 @@ def successor_k(n: int, sigma: Perm) -> int:
 
     Raises ValueError when sigma is not a codeword, as rank_k does.
     """
-    r = rank_k(sigma)
     if len(sigma) != 2 * n + 1:
-        raise ValueError(f"expected a permutation of length {2 * n + 1}")
-    return _push_at(2 * n + 1, r)
+        raise ValueError(
+            f"order n = {n} needs a permutation of length {2 * n + 1}, "
+            f"got length {len(sigma)}"
+        )
+    return _push_at(2 * n + 1, rank_k(sigma))
 
 
 def rank_k(sigma: Perm) -> int:

@@ -21,8 +21,11 @@ outside the code.  It needs no unrank to confirm a rank: a codeword holds the
 q even values either in positions 0..q around one odd value, in the block's
 rotation order (ascending, or 4, 2, 6, ... in odd-numbered blocks), or in
 positions 0..q-1 ending with 2q.  rank_inf checks exactly that, so the
-remaining positions hold the odd values, and the complete codes over S_p and
-S_{q-1} rank every arrangement of those.  successor_inf is the push at
+remaining positions hold the odd values.  The odd arrangement and the
+leading evens are ranked and unranked through one table per order m = p and
+m = q-1 (_arrangements, built on first use): the complete code
+build_rmgc(m) expanded by code_model.word_ranks, whose keys list the
+permutations of [m] in rank order.  successor_inf is the push at
 rank_inf(sigma), read from the block layout, so it raises on exactly the
 words rank_inf rejects.
 """
@@ -32,9 +35,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .code_model import GrayCode, verify_snake
+from .code_model import GrayCode, verify_snake, word_ranks
 from .perm_core import Perm, check_perm
-from .rmgc import build_rmgc, rmgc_rank, rmgc_unrank
+from .rmgc import build_rmgc
 
 __all__ = [
     "VARIANTS",
@@ -66,14 +69,14 @@ def linf_size(n: int, variant: str = "odd-top") -> int:
 def _block(s: int) -> tuple[int, ...]:
     """Pushes of one block over s inner values, up to its glue push: s
     rotations, then the order s-1 complete code without its closing t_2."""
-    return (s + 1,) * s + build_rmgc(s - 1).code.transitions[:-1]
+    return (s + 1,) * s + build_rmgc(s - 1).transitions[:-1]
 
 
 def _assemble(n: int, outer: tuple[int, ...], inner: tuple[int, ...]) -> GrayCode:
     s = len(inner)
     block = _block(s)
     transitions: list[int] = []
-    for glue in build_rmgc(len(outer)).code.transitions:
+    for glue in build_rmgc(len(outer)).transitions:
         transitions.extend(block)
         transitions.append(s + glue)
     start = (outer[0],) + inner + outer[1:]
@@ -129,7 +132,15 @@ def successor_inf(sigma: Perm) -> int:
     r_block, off = divmod(r, len(block) + 1)
     if off < len(block):
         return block[off]
-    return q + build_rmgc(p).code.transitions[r_block]
+    return q + build_rmgc(p).transitions[r_block]
+
+
+@lru_cache(maxsize=None)
+def _arrangements(m: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
+    """The permutations of [m] in the order of build_rmgc(m), and the rank
+    of each."""
+    ranks = word_ranks(build_rmgc(m))
+    return tuple(ranks), ranks
 
 
 @lru_cache(maxsize=None)
@@ -141,30 +152,31 @@ def _evens(q: int, odd_block: bool) -> tuple[int, ...]:
 
 
 def _rank_inf_raw(sigma: Perm, p: int, q: int) -> int:
-    """Rank of sigma; raises ValueError when sigma is not a codeword.  Each
-    phase checks where the even values sit, which leaves only odd values in
-    the other positions, so the odd arrangement needs no check of its own."""
+    """Rank of sigma; raises KeyError or ValueError when sigma is not a
+    codeword.  Each phase checks where the even values sit, which leaves only
+    odd values in the other positions, so the odd arrangement needs no check
+    of its own."""
     blk = q + factorial(q - 1)
-    odd_table = build_rmgc(p)
+    odd_ranks = _arrangements(p)[1]
     if sigma[q] % 2 == 0:
         idx = next(i for i, v in enumerate(sigma) if v % 2 == 1)
         odd_seq = ((sigma[idx] + 1) // 2,) + tuple(
             (v + 1) // 2 for v in sigma[q + 1 :]
         )
-        r_block = rmgc_rank(odd_table, odd_seq)
+        r_block = odd_ranks[odd_seq]
         if sigma[idx + 1 : q + 1] + sigma[:idx] != _evens(q, r_block % 2 == 1):
             raise ValueError("the even values are not a block rotation")
         return idx + blk * r_block
     if sigma[q - 1] != 2 * q or any(v % 2 for v in sigma[: q - 1]):
         raise ValueError("the even values do not lead the word")
     odd_half = tuple((v + 1) // 2 for v in sigma[q:])
-    r_block = rmgc_rank(odd_table, odd_half)
+    r_block = odd_ranks[odd_half]
     if q == 2:
         return q + blk * r_block
     prefix = tuple(v // 2 for v in sigma[: q - 1])
     if r_block % 2 == 1:
         prefix = _swap12(prefix)
-    return q + blk * r_block + rmgc_rank(build_rmgc(q - 1), prefix)
+    return q + blk * r_block + _arrangements(q - 1)[1][prefix]
 
 
 def rank_inf(sigma: Perm) -> int:
@@ -176,7 +188,7 @@ def rank_inf(sigma: Perm) -> int:
     n, p, q = _split(sigma)
     try:
         return _rank_inf_raw(sigma, p, q)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ValueError(
             f"{sigma} is not a codeword of the length-{n} code"
         ) from None
@@ -193,12 +205,12 @@ def unrank_inf(n: int, k: int) -> Perm:
     if not 0 <= k < total:
         raise ValueError(f"rank {k} out of range 0..{total - 1}")
     r_block, r = divmod(k, blk)
-    odd_head = rmgc_unrank(build_rmgc(p), r_block)
+    odd_head = _arrangements(p)[0][r_block]
     odds = tuple(2 * v - 1 for v in odd_head)
     a = _evens(q, r_block % 2 == 1)
     if r < q:
         return a[q - r :] + (odds[0],) + a[: q - r] + odds[1:]
-    prefix = rmgc_unrank(build_rmgc(q - 1), r - q)
+    prefix = _arrangements(q - 1)[0][r - q]
     if q >= 3 and r_block % 2 == 1:
         prefix = _swap12(prefix)
     evens = tuple(2 * v for v in prefix) + (2 * q,)

@@ -41,7 +41,7 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .bounds import linf_upper, trivial_upper
-from .code_model import GrayCode, expand, verify_snake
+from .code_model import GrayCode, expand, verify_snake, word_ranks
 from .perm_core import NEIGHBOURS, Perm, check_perm, identity, perm_key, push_top, sign
 
 __all__ = [
@@ -334,10 +334,9 @@ def extend_to_complete(code: GrayCode) -> GrayCode:
         raise ValueError("extend_to_complete expects a cyclic code")
     if code.n < 5:
         raise ValueError("extend_to_complete needs n >= 5 (uses a t_5 re-entry)")
-    words = expand(code)
-    word_index = {w: r for r, w in enumerate(words)}
+    word_index = word_ranks(code)
     evens = [p for p in itertools.permutations(range(1, code.n + 1)) if sign(p) == 1]
-    complement = sorted(set(evens) - set(words))
+    complement = sorted(set(evens) - word_index.keys())
     if len(complement) != 3:
         raise ValueError(
             f"complement of the code in the alternating group has "
@@ -356,7 +355,7 @@ def extend_to_complete(code: GrayCode) -> GrayCode:
         result = GrayCode(
             n=code.n,
             start=c0,
-            transitions=(3, 3, 5) + rotated[: len(words) - 1],
+            transitions=(3, 3, 5) + rotated[: len(word_index) - 1],
             cyclic=False,
         )
         report = verify_snake(result, "kendall")

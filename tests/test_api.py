@@ -48,6 +48,13 @@ def test_exported_name_is_in_its_module_all(name):
     assert getattr(module, name) is getattr(permsnake, name)
 
 
+@pytest.mark.parametrize(
+    "name", [name for name in permsnake.__all__ if name.startswith("build_")]
+)
+def test_every_builder_returns_a_gray_code(name):
+    assert isinstance(getattr(permsnake, name)(5), permsnake.GrayCode)
+
+
 def test_cli_import_loads_no_process_machinery():
     # multiprocessing and concurrent.futures cost about half the CLI's
     # import time, and the search runs in one process.

@@ -200,6 +200,20 @@ def test_search_long_budgeted_path(capsys, shallow_stack):
     assert obj["size"] == len(obj["best"]["transitions"])
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--transitions", "--transitions must be comma-separated integers, got ''"),
+        ("--start", "permutation must look like [3,1,2], got ''"),
+    ],
+)
+def test_search_rejects_an_empty_flag_value(capsys, flag, message):
+    assert run(["search", "--n", "5", "--metric", "kendall", flag, ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_search_exhaustive_and_budget_conflict(capsys):
     assert (
         run(
@@ -229,6 +243,21 @@ def test_bounds_single_and_range(capsys):
     assert run(["bounds", "--n-range", "4:6"]) == 0
     rows = [json.loads(ln) for ln in _stdout_lines(capsys)]
     assert [r["n"] for r in rows] == [4, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--n", "1"], "got n_lo=1, n_hi=1"),
+        (["--n", "21"], "got n_lo=21, n_hi=21"),
+        (["--n-range", "10:4"], "got n_lo=10, n_hi=4"),
+    ],
+)
+def test_bounds_out_of_range_names_the_values(capsys, argv, named):
+    assert run(["bounds", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err
 
 
 def test_bounds_requires_exactly_one_selector(capsys):

@@ -17,6 +17,7 @@ from permsnake.code_model import (
     encode_code,
     expand,
     verify_snake,
+    word_ranks,
 )
 from permsnake.ksnake import build_ksnake
 from permsnake.linf_snake import build_linf_snake
@@ -48,16 +49,24 @@ def test_expand_c3():
     assert expand(C3) == ((1, 2, 3), (3, 1, 2), (2, 3, 1))
 
 
+def test_word_ranks_c3():
+    ranks = word_ranks(C3)
+    assert ranks == {(1, 2, 3): 0, (3, 1, 2): 1, (2, 3, 1): 2}
+    assert tuple(ranks) == expand(C3)
+
+
 def test_expand_rejects_duplicates():
     dup = GrayCode(n=3, start=(1, 2, 3), transitions=(2, 2), cyclic=False)
-    with pytest.raises(ValueError, match="repeats"):
-        expand(dup)
+    for walk in (expand, word_ranks):
+        with pytest.raises(ValueError, match="codeword at rank 2 repeats rank 0"):
+            walk(dup)
 
 
 def test_expand_rejects_bad_closure():
     open_loop = GrayCode(n=4, start=(1, 2, 3, 4), transitions=(3, 4), cyclic=True)
-    with pytest.raises(ValueError, match="close"):
-        expand(open_loop)
+    for walk in (expand, word_ranks):
+        with pytest.raises(ValueError, match="close"):
+            walk(open_loop)
 
 
 def test_verify_c3_and_witness_reporting():
@@ -106,7 +115,7 @@ def _fixtures():
         for n in range(4, 10)
         for variant in ("odd-top", "even-top")
     ]
-    codes += [build_rmgc(5).code]
+    codes += [build_rmgc(5)]
     codes += [recorded_octal_code(n) for n in (4, 5, 6)]
     codes += [k5_witness_code(), extend_to_complete(k5_witness_code())]
     return codes
@@ -120,7 +129,7 @@ def test_verify_matches_pairwise_reference_on_fixtures(metric):
 
 
 def test_rmgc_is_no_kendall_snake():
-    report = verify_snake(build_rmgc(5).code, "kendall")
+    report = verify_snake(build_rmgc(5), "kendall")
     assert not report.valid
     assert report.min_pairwise_distance == 1
 

@@ -83,6 +83,15 @@ def test_successor_examples():
     assert successor_k(2, (3, 1, 2, 4, 5)) == 3
 
 
+def test_successor_checks_the_length_before_ranking():
+    with pytest.raises(ValueError, match="order n = 2 needs a permutation of length 5, "
+                       "got length 3"):
+        successor_k(2, (1, 2, 3))
+    # a degree-5 codeword is refused at order 1 for its length
+    with pytest.raises(ValueError, match="length 3, got length 5"):
+        successor_k(1, (5, 3, 1, 2, 4))
+
+
 @pytest.mark.parametrize("N", [3, 5, 7, 9])
 def test_successor_walks_the_whole_cycle(N):
     n = (N - 1) // 2

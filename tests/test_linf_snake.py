@@ -124,6 +124,15 @@ def test_rank_rejects_non_codewords():
         rank_inf((1, 3, 2, 4))
 
 
+def test_rank_refuses_a_word_outside_the_arrangement_table():
+    # the values after position q map to the odd arrangement (2, 2, 3),
+    # which no table of arrangements holds
+    for f in (rank_inf, successor_inf):
+        with pytest.raises(ValueError, match=r"^\(3, 1, 2, 4, 5\) is not a codeword "
+                           "of the length-5 code$"):
+            f((3, 1, 2, 4, 5))
+
+
 @pytest.mark.parametrize("n", range(MIN_LINF_N, 9))
 def test_rank_and_successor_reject_every_non_codeword(n):
     words = set(expand(build_linf_snake(n)))

@@ -4,53 +4,49 @@ import math
 
 import pytest
 
-from permsnake.code_model import expand
+from permsnake.code_model import GrayCode, expand, word_ranks
 from permsnake.perm_core import push_top
-from permsnake.rmgc import (
-    MAX_RMGC_N,
-    build_rmgc,
-    rmgc_rank,
-    rmgc_unrank,
-)
+from permsnake.rmgc import MAX_RMGC_N, build_rmgc
 
 
 def test_order_two_code():
-    table = build_rmgc(2)
-    assert table.code.start == (1, 2)
-    assert table.code.transitions == (2, 2)
-    assert table.codewords == ((1, 2), (2, 1))
+    code = build_rmgc(2)
+    assert code.start == (1, 2)
+    assert code.transitions == (2, 2)
+    assert expand(code) == ((1, 2), (2, 1))
 
 
 def test_order_three_explicit_walk():
-    table = build_rmgc(3)
-    words = expand(table.code)
+    code = build_rmgc(3)
+    words = expand(code)
     assert len(words) == 6
     assert words[0] == (1, 2, 3)
     # every consecutive pair differs by the recorded push
-    for k, t in enumerate(table.code.transitions[:-1]):
+    for k, t in enumerate(code.transitions[:-1]):
         assert push_top(t, words[k]) == words[k + 1]
 
 
 @pytest.mark.parametrize("n", range(2, MAX_RMGC_N + 1))
 def test_complete_cycle_through_all_permutations(n):
-    table = build_rmgc(n)
-    assert table.code.cyclic
-    assert len(table.codewords) == math.factorial(n)
-    assert len(set(table.codewords)) == math.factorial(n)
-    assert table.code.start == tuple(range(1, n + 1))
+    code = build_rmgc(n)
+    assert isinstance(code, GrayCode)
+    assert code.cyclic
+    assert code.size == math.factorial(n)
+    assert len(word_ranks(code)) == math.factorial(n)
+    assert code.start == tuple(range(1, n + 1))
 
 
 @pytest.mark.parametrize("n", range(2, MAX_RMGC_N + 1))
 def test_canonical_form_ends_with_smallest_push(n):
-    table = build_rmgc(n)
-    assert table.code.transitions[-1] == 2
+    assert build_rmgc(n).transitions[-1] == 2
 
 
 def test_degenerate_order_one():
-    table = build_rmgc(1)
-    assert table.codewords == ((1,),)
-    assert not table.code.cyclic
-    assert table.code.transitions == ()
+    code = build_rmgc(1)
+    assert expand(code) == ((1,),)
+    assert word_ranks(code) == {(1,): 0}
+    assert not code.cyclic
+    assert code.transitions == ()
 
 
 def test_rejects_out_of_range():
@@ -62,16 +58,19 @@ def test_rejects_out_of_range():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_rank_unrank_succ_round_trip(n):
-    table = build_rmgc(n)
-    for r, word in enumerate(table.codewords):
-        assert rmgc_rank(table, word) == r
-        assert rmgc_unrank(table, r) == word
+    code = build_rmgc(n)
+    ranks = word_ranks(code)
+    words = tuple(ranks)
+    assert words == expand(code)
+    for r, word in enumerate(words):
+        assert ranks[word] == r
         # the successor is the push at the rank
-        nxt = table.codewords[(r + 1) % len(table.codewords)]
-        assert push_top(table.code.transitions[rmgc_rank(table, word)], word) == nxt
+        nxt = words[(r + 1) % len(words)]
+        assert push_top(code.transitions[ranks[word]], word) == nxt
 
 
 def test_rank_rejects_foreign_word():
-    table = build_rmgc(3)
-    with pytest.raises(ValueError):
-        rmgc_rank(table, (1, 2, 4))
+    ranks = word_ranks(build_rmgc(3))
+    assert (1, 2, 4) not in ranks
+    with pytest.raises(KeyError):
+        ranks[(1, 2, 4)]
