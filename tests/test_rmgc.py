@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from permsnake.code_model import GrayCode, expand, word_ranks
+from permsnake.code_model import expand, word_ranks
 from permsnake.perm_core import push_top
 from permsnake.rmgc import MAX_RMGC_N, build_rmgc
 
@@ -29,7 +29,6 @@ def test_order_three_explicit_walk():
 @pytest.mark.parametrize("n", range(2, MAX_RMGC_N + 1))
 def test_complete_cycle_through_all_permutations(n):
     code = build_rmgc(n)
-    assert isinstance(code, GrayCode)
     assert code.cyclic
     assert code.size == math.factorial(n)
     assert len(word_ranks(code)) == math.factorial(n)
@@ -72,5 +71,3 @@ def test_rank_unrank_succ_round_trip(n):
 def test_rank_rejects_foreign_word():
     ranks = word_ranks(build_rmgc(3))
     assert (1, 2, 4) not in ranks
-    with pytest.raises(KeyError):
-        ranks[(1, 2, 4)]
