@@ -7,27 +7,29 @@ codewords it holds M-1 transitions.
 
 verify_snake checks the strong snake property: every pair of distinct
 codewords must be at distance >= 2 in the chosen metric.  That holds exactly
-when no codeword's radius-1 ball (perm_core.NEIGHBOURS) holds another
-codeword, so the check is one dictionary lookup per ball member.  A plain
-pairwise loop remains as the test reference and as the fallback that finds
-the minimum distance of a snake with no pair at distance 2.
+when no codeword's radius-1 ball holds another codeword.  One walk of the
+code indexes the codeword forms (perm_core.form) by rank, and a ball is a
+form translated by the value maps perm_core.ball_maps: one set test in C per
+codeword.  A plain pairwise loop remains as the test reference and as the
+fallback that finds the minimum distance of a snake with no pair at distance 2.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
 
 from .perm_core import (
     MAX_N,
-    NEIGHBOURS,
-    WITHIN_TWO,
     Perm,
+    ball_maps,
     check_perm,
+    distance_two_maps,
+    form,
     kendall_distance,
     linf_distance,
-    perm_key,
     push_top,
 )
 
@@ -44,6 +46,9 @@ __all__ = [
 
 METRICS = ("kendall", "linf")
 _DISTANCE = {"kendall": kendall_distance, "linf": linf_distance}
+# push_top(t, ·) on a Kendall form, the inverse, moves values: p -> p+1 below t, t -> 1
+_PUSH_MAPS = {t: bytes.maketrans(bytes(range(1, t + 1)), bytes((*range(2, t + 1), 1)))
+              for t in range(2, MAX_N + 1)}
 
 
 @dataclass(frozen=True)
@@ -63,9 +68,9 @@ class GrayCode:
         check_perm(self.start)
         if len(self.start) != self.n:
             raise ValueError(f"start has length {len(self.start)}, expected n={self.n}")
-        for t in self.transitions:
-            if not 2 <= t <= self.n:
-                raise ValueError(f"transition index {t} out of range 2..{self.n}")
+        if not set(self.transitions) <= set(range(2, self.n + 1)):
+            t = next(t for t in self.transitions if not 2 <= t <= self.n)
+            raise ValueError(f"transition index {t} out of range 2..{self.n}")
         if self.cyclic and not self.transitions:
             raise ValueError("a cyclic code needs at least one transition")
         object.__setattr__(self, "transitions", tuple(self.transitions))
@@ -92,22 +97,24 @@ class SnakeReport:
     witness: Optional[tuple[int, int]]
 
 
-def word_ranks(code: GrayCode) -> dict[Perm, int]:
-    """The rank of each codeword, keyed in rank order from code.start.
-
-    Raises ValueError on a repeated codeword (reporting the first collision)
-    or, for cyclic codes, when the final transition does not return to start.
+def _ranks(code: GrayCode, metric: Optional[str] = None) -> dict:
+    """The rank of each codeword in rank order from code.start, keyed by the
+    codeword, or by its form (perm_core.form) under metric if given.  Raises
+    ValueError on a repeated codeword (naming the first collision) or, for
+    cyclic codes, when the final transition does not return to start.
     """
-    ranks = {code.start: 0}
-    cur = code.start
+    cur = code.start if metric is None else form(metric, code.start)
+    ranks = {cur: 0}
+    kendall = metric == "kendall"
     steps = code.transitions if not code.cyclic else code.transitions[:-1]
     for k, t in enumerate(steps, 1):
-        cur = push_top(t, cur)
+        cur = cur.translate(_PUSH_MAPS[t]) if kendall else cur[t - 1 : t] + cur[: t - 1] + cur[t:]
         dup = ranks.setdefault(cur, k)
         if dup != k:
-            raise ValueError(f"codeword at rank {k} repeats rank {dup}: {cur}")
+            word = tuple(form(metric or "linf", cur))
+            raise ValueError(f"codeword at rank {k} repeats rank {dup}: {word}")
     if code.cyclic:
-        closing = push_top(code.transitions[-1], cur)
+        closing = push_top(code.transitions[-1], tuple(form(metric or "linf", cur)))
         if closing != code.start:
             raise ValueError(
                 f"cyclic code does not close: final transition yields {closing}, "
@@ -116,10 +123,14 @@ def word_ranks(code: GrayCode) -> dict[Perm, int]:
     return ranks
 
 
+def word_ranks(code: GrayCode) -> dict[Perm, int]:
+    """The rank of each codeword, keyed in rank order; raises where _ranks does."""
+    return _ranks(code)
+
+
 def expand(code: GrayCode) -> tuple[Perm, ...]:
-    """All codewords in rank order, starting at code.start.  Raises
-    ValueError where word_ranks does."""
-    return tuple(word_ranks(code))
+    """All codewords in rank order from code.start; raises where _ranks does."""
+    return tuple(_ranks(code))
 
 
 def _verify_pairs(words: tuple[Perm, ...], metric: str) -> SnakeReport:
@@ -138,32 +149,31 @@ def _verify_pairs(words: tuple[Perm, ...], metric: str) -> SnakeReport:
     return SnakeReport(True, metric, best, None)
 
 
-def _verify_words(words: tuple[Perm, ...], metric: str) -> SnakeReport:
-    """verify_snake on distinct words.
+def _verify_words(index: dict[bytes, int], metric: str) -> SnakeReport:
+    """verify_snake on distinct words, as the rank of each keyed by its form.
 
     A pair is at distance 1 exactly when one word lies in the other's ball,
     so the first rank i whose ball holds a word, with the least such rank j,
     is the lowest violating pair (j > i, or j would have turned up first).
-    One pair within distance 2 fixes a snake's minimum at 2; the pairwise
-    loop runs when the probe finds none within as many lookups as it has pairs.
+    One pair at distance 2 fixes a snake's minimum at 2.  The probe for one
+    translates every form by one distance-2 map at a time; the pairwise loop
+    runs when it finds none within as many lookups as there are pairs.
     """
-    neighbours = NEIGHBOURS[metric]
-    index = {perm_key(w): r for r, w in enumerate(words)}
-    for i, w in enumerate(words):
-        ball = neighbours(w)
-        if not index.keys().isdisjoint(ball):
-            j = min(index[k] for k in ball if k in index)
+    keys = index.keys()
+    n = len(next(iter(keys)))
+    maps = ball_maps(metric, n)
+    for i, f in enumerate(index):
+        if not keys.isdisjoint(map(f.translate, maps)):
+            j = min(index[g] for g in map(f.translate, maps) if g in keys)
             return SnakeReport(False, metric, 1, (i, j))
-    budget = len(words) * (len(words) - 1) // 2
-    probe = WITHIN_TWO[metric]
-    for i, w in enumerate(words):
-        for k in probe(w):
-            budget -= 1
-            if budget < 0:
-                return _verify_pairs(words, metric)
-            if index.get(k, i) != i:
-                return SnakeReport(True, metric, 2, None)
-    return _verify_pairs(words, metric)
+    budget = len(index) * (len(index) - 1) // 2
+    for m in distance_two_maps(metric, n):
+        budget -= len(index)
+        if budget < 0:
+            break
+        if not keys.isdisjoint(map(bytes.translate, index, itertools.repeat(m))):
+            return SnakeReport(True, metric, 2, None)
+    return _verify_pairs(tuple(tuple(form(metric, f)) for f in index), metric)
 
 
 def verify_snake(code: GrayCode, metric: str) -> SnakeReport:
@@ -171,11 +181,12 @@ def verify_snake(code: GrayCode, metric: str) -> SnakeReport:
 
     The report's witness, when present, is the lowest-rank violating pair,
     and min_pairwise_distance of a valid code is the exact minimum.  The cost
-    is one lookup per radius-1 ball member of each codeword.
+    is one lookup per radius-1 ball member of each codeword.  Raises
+    ValueError where expand does.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    return _verify_words(expand(code), metric)
+    return _verify_words(_ranks(code, metric), metric)
 
 
 def balance_gap(code: GrayCode) -> int:
@@ -191,17 +202,12 @@ def balance_gap(code: GrayCode) -> int:
     words = expand(code)
     m = code.size
     tops = [words[(k + 1) % m][0] for k in range(m)]
-    occurrences: dict[int, list[int]] = {}
-    for k, v in enumerate(tops):
-        occurrences.setdefault(v, []).append(k)
+    # the gap before each step k is k less the step that last moved the same
+    # value, its final step one period back when k is its first
+    last = {v: k - m for k, v in enumerate(tops)}
     worst = 0
-    for occ in occurrences.values():
-        for idx in range(len(occ)):
-            nxt = occ[(idx + 1) % len(occ)]
-            gap = (nxt - occ[idx]) % m
-            if gap == 0:
-                gap = m
-            worst = max(worst, gap)
+    for k, v in enumerate(tops):
+        worst, last[v] = max(worst, k - last[v]), k
     return worst
 
 
@@ -234,23 +240,14 @@ def decode_code(text: str) -> tuple[GrayCode, Optional[str]]:
     n = payload["n"]
     if type(n) is not int or not 1 <= n <= MAX_N:
         raise ValueError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
-    start = payload["start"]
-    transitions = payload["transitions"]
-    if not isinstance(start, list) or not all(type(v) is int for v in start):
+    start, transitions = payload["start"], payload["transitions"]
+    if not isinstance(start, list) or not set(map(type, start)) <= {int}:
         raise ValueError("start must be a list of integers")
-    if not isinstance(transitions, list) or not all(
-        type(v) is int for v in transitions
-    ):
+    if not isinstance(transitions, list) or not set(map(type, transitions)) <= {int}:
         raise ValueError("transitions must be a list of integers")
     if not isinstance(payload["cyclic"], bool):
         raise ValueError("cyclic must be a boolean")
     metric = payload.get("metric")
     if metric is not None and metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    code = GrayCode(
-        n=n,
-        start=tuple(start),
-        transitions=tuple(transitions),
-        cyclic=payload["cyclic"],
-    )
-    return code, metric
+    return GrayCode(n, tuple(start), tuple(transitions), payload["cyclic"]), metric

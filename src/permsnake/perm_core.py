@@ -9,13 +9,14 @@ Conventions used across the package:
   reinserts it in position 1.  Valid for 2 <= i <= n.
 - n is capped at MAX_N = 20 so ranks and code sizes stay inside 64-bit range
   (20! < 2**62).
-- The closed radius-1 ball of sigma is sigma plus NEIGHBOURS[metric](sigma),
-  the perm_key of each permutation at distance 1; search and verify share it.
+- The closed radius-1 ball of sigma is sigma plus form(metric, sigma) translated
+  by each value map of ball_maps(metric, n); search and verify share it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 
 Perm = tuple[int, ...]
 
@@ -23,26 +24,20 @@ MAX_N = 20
 
 __all__ = [
     "MAX_N",
-    "NEIGHBOURS",
     "Perm",
-    "WITHIN_TWO",
+    "ball_maps",
     "check_perm",
+    "distance_two_maps",
+    "form",
     "format_perm",
     "identity",
     "is_perm",
     "kendall_distance",
     "linf_distance",
     "parse_perm",
-    "perm_key",
     "push_top",
     "sign",
 ]
-
-# perm_key weight of each position; swapping the entries in positions s+1
-# and s+2 changes a key by (sigma(s+2) - sigma(s+1)) * _SWAP[s].
-_WEIGHT = tuple(1 << (8 * i) for i in range(MAX_N + 1))
-_SWAP = tuple(_WEIGHT[s] - _WEIGHT[s + 1] for s in range(MAX_N))
-
 
 def identity(n: int) -> Perm:
     """The identity permutation of [n].
@@ -151,61 +146,67 @@ def linf_distance(a: Perm, b: Perm) -> int:
     return max(abs(x - y) for x, y in zip(a, b))
 
 
-def perm_key(sigma: Perm) -> int:
-    """sigma packed into one int, entry i in byte i: a cheap dictionary key."""
-    return int.from_bytes(bytes(sigma), "little")
+def form(metric: str, sigma: Iterable[int]) -> bytes:
+    """The bytes a value map acts on: sigma's entries (Chebyshev) or its
+    inverse's (Kendall: a swap of neighbouring entries of sigma swaps two
+    adjacent values of its inverse).  The form of a form is the word again.
+
+    >>> form("kendall", (2, 3, 1)), tuple(form("kendall", b"\\x03\\x01\\x02"))
+    (b'\\x03\\x01\\x02', (2, 3, 1))
+    """
+    word = bytes(sigma)
+    if metric == "linf":
+        return word
+    ident = bytes(range(1, len(word) + 1))
+    return ident.translate(bytes.maketrans(word, ident))
 
 
-def kendall_neighbours(sigma: Perm) -> list[int]:
-    """perm_key of the n-1 permutations at Kendall distance 1 from sigma:
-    the swaps of two neighbouring entries."""
-    key = perm_key(sigma)
-    return [key + (b - a) * c for a, b, c in zip(sigma, sigma[1:], _SWAP)]
+def _moving(n: int, reach: int, images: Perm = (), used: int = 0) -> Iterator[bytes]:
+    """Lazily, the value maps of 1..n moving some value by reach and none by
+    more, that send 1, 2, ... to images, whose values are the bits of used."""
+    v = len(images) + 1
+    if v > n:
+        if any(abs(u - w) == reach for w, u in enumerate(images, 1)):
+            yield bytes.maketrans(bytes(range(1, n + 1)), bytes(images))
+        return
+    low = v - reach  # no value above v reaches low, so v must if none has
+    forced = low > 0 and not used >> low & 1
+    for u in (low,) if forced else range(max(1, low), min(n, v + reach) + 1):
+        if not used >> u & 1:
+            yield from _moving(n, reach, images + (u,), used | 1 << u)
 
 
-def linf_neighbours(sigma: Perm) -> list[int]:
-    """perm_key of the permutations at Chebyshev distance 1 from sigma: its
-    values relabelled by a product of disjoint swaps of adjacent values, the
-    value maps that move nothing by more than 1 (88 of them at n = 10)."""
-    weight = dict(zip(sigma, _WEIGHT))
-    # key changes of the products of swaps among the values >= v, from those
-    # among the values >= v+1 (v, v+1 unswapped) and >= v+2 (swapped)
-    deltas = rest = [0]
-    for v in range(len(sigma) - 1, 0, -1):
-        deltas, rest = deltas + [weight[v] - weight[v + 1] + d for d in rest], deltas
-    key = perm_key(sigma)
-    return [key + d for d in deltas[1:]]
+@lru_cache(maxsize=None)
+def ball_maps(metric: str, n: int) -> tuple[bytes, ...]:
+    """The radius-1 ball at length n as bytes.translate tables: form(metric,
+    sigma) translated by each is the form of one permutation at distance 1
+    from sigma, and each of those turns up once.  Kendall has the n-1 swaps
+    of two adjacent values, Chebyshev the maps moving no value by more than
+    1, the identity aside (Fibonacci(n+1) - 1 of them: 88 at n = 10).
+
+    >>> [tuple(form("linf", (3, 1, 2)).translate(m)) for m in ball_maps("linf", 3)]
+    [(2, 1, 3), (3, 2, 1)]
+    >>> [tuple(form("kendall", form("kendall", (3, 1, 2)).translate(m)))
+    ...  for m in ball_maps("kendall", 3)]
+    [(1, 3, 2), (3, 2, 1)]
+    """
+    if metric == "kendall":
+        return tuple(bytes.maketrans(bytes((s, s + 1)), bytes((s + 1, s))) for s in range(1, n))
+    return tuple(_moving(n, 1))
 
 
-NEIGHBOURS = {"kendall": kendall_neighbours, "linf": linf_neighbours}
+def distance_two_maps(metric: str, n: int) -> Iterator[bytes]:
+    """Lazily, maps as in ball_maps to each permutation at distance exactly 2
+    (10,412,815 Chebyshev ones at n = 20): the products of two Kendall ball
+    maps, or the maps that move some value by 2 and none by more.
 
-
-def _kendall_within_two(sigma: Perm) -> Iterator[int]:
-    for s in range(len(sigma) - 1):
-        yield from kendall_neighbours(sigma[:s] + (sigma[s + 1], sigma[s]) + sigma[s + 2 :])
-
-
-def _linf_within_two(sigma: Perm) -> Iterator[int]:
-    n, key, weight = len(sigma), perm_key(sigma), dict(zip(sigma, _WEIGHT))
-
-    def maps(v: int, used: int, delta: int) -> Iterator[int]:
-        # values below v are mapped, onto the bits set in used; a value
-        # above v cannot reach v-2, so v must if nothing has
-        if v > n:
-            yield key + delta
-            return
-        forced = v > 2 and not used >> (v - 2) & 1
-        for u in (v - 2,) if forced else range(max(1, v - 1), min(n, v + 2) + 1):
-            if not used >> u & 1:
-                yield from maps(v + 1, used | 1 << u, delta + (u - v) * weight[v])
-
-    return maps(1, 0, 0)
-
-
-# perm_key of permutations within distance 2 of sigma, every one at distance
-# exactly 2 among them: two neighbouring-entry swaps (Kendall), or the value
-# maps that move nothing by more than 2 (Chebyshev).
-WITHIN_TWO = {"kendall": _kendall_within_two, "linf": _linf_within_two}
+    >>> sorted(tuple(form("linf", (1, 2, 3)).translate(m)) for m in distance_two_maps("linf", 3))
+    [(2, 3, 1), (3, 1, 2), (3, 2, 1)]
+    """
+    if metric == "linf":
+        return _moving(n, 2)
+    ball = ball_maps(metric, n)  # a.translate(b) is the table of b after a
+    return iter(dict.fromkeys(a.translate(b) for a in ball for b in ball if a != b))
 
 
 def parse_perm(text: str) -> Perm:

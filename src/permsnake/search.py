@@ -42,7 +42,7 @@ from typing import Iterator, Optional
 
 from .bounds import linf_upper, trivial_upper
 from .code_model import GrayCode, expand, verify_snake, word_ranks
-from .perm_core import NEIGHBOURS, Perm, check_perm, identity, perm_key, push_top, sign
+from .perm_core import Perm, ball_maps, check_perm, form, identity, push_top, sign
 
 __all__ = [
     "RECORDED_OCTAL_CODES",
@@ -143,13 +143,14 @@ def _build_tables(spec: SearchSpec) -> _Tables:
             column += zip(itertools.repeat(t), map(index.setdefault, map(push, level), numbers))
         level = list(itertools.islice(index, reached, None))
     moves = list(zip(*columns))
-    # Balls come as perm_key ints.  filter(None, ·) drops the members outside
-    # the orbit, which get maps to None: the search never places, so never
-    # looks up, such a state.  It drops the start, 0, too, whose counter
-    # never reaches zero anyway, because the start stays placed.
-    key_index = dict(zip(map(perm_key, index), range(len(index))))
-    neighbours = NEIGHBOURS[spec.metric]
-    balls = [(i, *filter(None, map(key_index.get, neighbours(p)))) for i, p in enumerate(index)]
+    # A ball is a form (perm_core.form) translated by the metric's value maps.
+    # filter(None, ·) drops the members outside the orbit (get gives None),
+    # which the search never places or looks up, and the start, 0, whose
+    # counter never reaches zero anyway, as the start stays placed.
+    form_index = {form(spec.metric, p): i for i, p in enumerate(index)}
+    maps = ball_maps(spec.metric, spec.n)
+    balls = [(i, *filter(None, map(form_index.get, map(f.translate, maps))))
+             for i, f in enumerate(form_index)]
     # t pushes s[1:t] + s[:1] + s[t:] to s, and no other state; it is in the
     # orbit, because t applied t-1 times to s gives it.
     s = spec.start

@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from permsnake.perm_core import Perm, check_perm, kendall_neighbours, perm_key
+from permsnake.perm_core import Perm, check_perm
 
 
 @pytest.fixture
@@ -20,10 +20,11 @@ def shallow_stack():
 
 def _bfs_distance(n: int, alpha: Perm, beta: Perm) -> int:
     """Kendall distance from alpha to beta by breadth-first search over swaps
-    of neighbouring entries (perm_core.kendall_neighbours).
+    of neighbouring entries, on plain tuples.
 
-    Deliberately independent of the closed-form kendall_distance so the two
-    can be checked against each other.  Guarded to n <= 6.
+    Deliberately independent of the closed-form kendall_distance and of the
+    radius-1 balls (perm_core.ball_maps), so each can be checked against it.
+    Guarded to n <= 6.
     """
     if n > 6:
         raise ValueError("bfs_distance_oracle is capped at n <= 6")
@@ -31,15 +32,15 @@ def _bfs_distance(n: int, alpha: Perm, beta: Perm) -> int:
     beta = check_perm(beta)
     if len(alpha) != n or len(beta) != n:
         raise ValueError("permutation length does not match n")
-    target = perm_key(beta)
-    seen = {perm_key(alpha)}
-    frontier = [alpha]
+    seen = {alpha}
+    frontier = {alpha}
     d = 0
-    while target not in seen:  # the swaps connect all of S_n
+    while beta not in seen:  # the swaps connect all of S_n
         d += 1
-        reached = {k for p in frontier for k in kendall_neighbours(p)} - seen
-        seen |= reached
-        frontier = [tuple(k.to_bytes(n, "little")) for k in reached]  # unpack keys
+        frontier = {
+            p[:s] + (p[s + 1], p[s]) + p[s + 2 :] for p in frontier for s in range(n - 1)
+        } - seen
+        seen |= frontier
     return d
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -21,11 +22,16 @@ from permsnake.code_model import (
 )
 from permsnake.ksnake import build_ksnake
 from permsnake.linf_snake import build_linf_snake
-from permsnake.perm_core import identity, kendall_distance, linf_distance
+from permsnake.perm_core import form, identity, kendall_distance, linf_distance
 from permsnake.rmgc import build_rmgc
 from permsnake.search import extend_to_complete, k5_witness_code, recorded_octal_code
 
 C3 = GrayCode(n=3, start=(1, 2, 3), transitions=(3, 3, 3), cyclic=True)
+
+
+def _verify_list(words, metric):
+    """_verify_words on a list of distinct words, indexed by rank."""
+    return _verify_words({form(metric, w): r for r, w in enumerate(words)}, metric)
 
 
 def test_gray_code_validation():
@@ -95,12 +101,24 @@ def test_ball_lookup_matches_pairwise_reference():
     ]
     for words in cases:
         for metric in ("kendall", "linf"):
-            assert _verify_words(words, metric) == _verify_pairs(words, metric)
+            assert _verify_list(words, metric) == _verify_pairs(words, metric)
+
+
+@pytest.mark.parametrize("metric", ["kendall", "linf"])
+def test_ball_lookup_matches_pairwise_on_random_lists(metric):
+    # random subsets of S_n, most of them invalid, so the witness (lowest i,
+    # then least j) is compared as often as the minimum distance
+    rng = random.Random(11)
+    for _ in range(600):
+        n = rng.randint(3, 7)
+        group = list(itertools.permutations(range(1, n + 1)))
+        words = tuple(rng.sample(group, rng.randint(1, min(len(group), 40))))
+        assert _verify_list(words, metric) == _verify_pairs(words, metric)
 
 
 def test_ball_lookup_reports_lex_first_witness():
     words = ((1, 2, 3), (2, 1, 3), (3, 1, 2), (1, 3, 2))
-    report = _verify_words(words, "kendall")
+    report = _verify_list(words, "kendall")
     assert not report.valid
     assert report.min_pairwise_distance == 1
     assert report.witness == (0, 1)

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from permsnake.perm_core import (
     MAX_N,
-    NEIGHBOURS,
-    WITHIN_TWO,
+    ball_maps,
+    distance_two_maps,
+    form,
     format_perm,
     identity,
     is_perm,
     kendall_distance,
     linf_distance,
     parse_perm,
-    perm_key,
     push_top,
     sign,
 )
@@ -145,23 +145,33 @@ def test_kendall_counts_discordant_value_pairs(pair):
 
 
 @pytest.mark.parametrize("metric", ["kendall", "linf"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_balls_match_the_metric_exhaustively(metric, n):
     group = list(itertools.permutations(range(1, n + 1)))
-    assert len({perm_key(p) for p in group}) == len(group)
+    assert len({form(metric, p) for p in group}) == len(group)
     dist = DISTANCE[metric]
+    maps = ball_maps(metric, n)
     for p in group:
-        near = {perm_key(q): dist(p, q) for q in group if dist(p, q) <= 2}
-        neighbours = NEIGHBOURS[metric](p)
+        f = form(metric, p)
+        near = {form(metric, q): d for q in group if (d := dist(p, q)) <= 2}
+        neighbours = [f.translate(m) for m in maps]
         assert len(set(neighbours)) == len(neighbours)
         assert set(neighbours) == {k for k, d in near.items() if d == 1}
-        within = set(WITHIN_TWO[metric](p))
+        within = {f.translate(m) for m in distance_two_maps(metric, n)}
         assert within <= near.keys()
         assert {k for k, d in near.items() if d == 2} <= within
 
 
 def test_ball_sizes_at_largest_n():
+    assert len(ball_maps("kendall", MAX_N)) == MAX_N - 1
+    assert len(ball_maps("linf", MAX_N)) == 10945  # Fibonacci(21) - 1
+    assert len(ball_maps("linf", 10)) == 88
+
+
+def test_linf_distance_two_maps_are_lazy_at_largest_n():
+    # 10,412,815 maps in all: the first few must come without the rest
     p = tuple(range(MAX_N, 0, -1))
-    assert len(NEIGHBOURS["kendall"](p)) == MAX_N - 1
-    assert len(NEIGHBOURS["linf"](p)) == 10945  # Fibonacci(21) - 1
-    assert len(NEIGHBOURS["linf"](tuple(range(1, 11)))) == 88
+    f = form("linf", p)
+    first = [f.translate(m) for m in itertools.islice(distance_two_maps("linf", MAX_N), 5)]
+    assert len(set(first)) == 5
+    assert all(linf_distance(p, tuple(g)) == 2 for g in first)
