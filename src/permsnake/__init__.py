@@ -10,7 +10,6 @@ entries (``linf``).
 
 from .bounds import (
     BoundsRow,
-    bounds_row,
     bounds_table,
     ksnake_density,
     linf_upper,
@@ -27,7 +26,6 @@ from .code_model import (
     word_ranks,
 )
 from .ksnake import (
-    RECORDED_K5_CHECKPOINTS,
     build_ksnake,
     ksnake_size,
     rank_k,
@@ -45,25 +43,23 @@ from .perm_core import (
     MAX_N,
     format_perm,
     identity,
-    is_perm,
     kendall_distance,
     linf_distance,
     parse_perm,
     push_top,
     sign,
 )
-from .rmgc import build_rmgc
-from .search import (
+from .repro import (
+    RECORDED_K5_CHECKPOINTS,
     RECORDED_OCTAL_CODES,
-    SearchResult,
-    SearchSpec,
     emit_octal_code,
     extend_to_complete,
     k5_witness_code,
-    longest_snake,
     parse_octal_code,
     recorded_octal_code,
 )
+from .rmgc import build_rmgc
+from .search import SearchResult, SearchSpec, longest_snake
 
 __version__ = "0.1.0"
 
@@ -77,7 +73,6 @@ __all__ = [
     "SearchSpec",
     "SnakeReport",
     "balance_gap",
-    "bounds_row",
     "bounds_table",
     "build_ksnake",
     "build_linf_snake",
@@ -89,7 +84,6 @@ __all__ = [
     "extend_to_complete",
     "format_perm",
     "identity",
-    "is_perm",
     "k5_witness_code",
     "kendall_distance",
     "ksnake_density",

@@ -19,7 +19,6 @@ from .linf_snake import MIN_LINF_N, linf_size
 
 __all__ = [
     "BoundsRow",
-    "bounds_row",
     "bounds_table",
     "ksnake_density",
     "linf_upper",
@@ -72,10 +71,7 @@ def _rate(m: int, n: int) -> float:
     return log2(m) / log2(factorial(n))
 
 
-def bounds_row(n: int) -> BoundsRow:
-    """The bounds_table row for one n, 2 <= n <= 20."""
-    if not 2 <= n <= MAX_N:
-        raise ValueError(f"n must be in 2..{MAX_N}, got {n}")
+def _row(n: int) -> BoundsRow:
     k_size = k_density = k_rate = None
     if n >= 3 and n % 2 == 1:
         k_size = ksnake_size(n)
@@ -103,4 +99,4 @@ def bounds_table(n_lo: int, n_hi: int) -> tuple[BoundsRow, ...]:
         raise ValueError(
             f"need 2 <= n_lo <= n_hi <= {MAX_N}, got n_lo={n_lo}, n_hi={n_hi}"
         )
-    return tuple(bounds_row(n) for n in range(n_lo, n_hi + 1))
+    return tuple(_row(n) for n in range(n_lo, n_hi + 1))

@@ -26,7 +26,9 @@ on exactly the words rank_k rejects and works past build_ksnake's degree
 cap.  One normalization is baked in: the recursion's natural degree-3 origin
 is [2,3,1], while the stored degree-3 code starts at [1,2,3]; the subcode
 origin rank (_subcode_origin) is adjusted so that build_ksnake(5) and the
-recursion above it match the expansion exactly.
+recursion above it match the expansion exactly.  The recorded degree-5
+checkpoints that pin that expansion live with the other recorded artifacts in
+permsnake.repro.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .code_model import GrayCode, word_ranks
 from .perm_core import MAX_N, Perm, check_perm, identity, push_top, sign
 
 __all__ = [
-    "RECORDED_K5_CHECKPOINTS",
     "build_ksnake",
     "ksnake_size",
     "rank_k",
@@ -50,35 +51,6 @@ MAX_KSNAKE_N = 9
 # The largest degree ranked from a table: 1,575 codewords.  Degree 9 would
 # hold 99,225.
 _MAX_TABLE_N = 7
-
-# Recorded checkpoints of the degree-5 code: each 15-codeword segment is
-# pinned at offsets 0, 3, 4, 8, 9, 13, 14 (segment heads, the codewords
-# around each interior push-3, and the two codewords before the stitch).
-# permsnake.repro compares build_ksnake(5) against these rank/permutation
-# pairs bit for bit.
-RECORDED_K5_CHECKPOINTS: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (0, (5, 3, 1, 2, 4)),
-    (3, (1, 2, 4, 5, 3)),
-    (4, (4, 1, 2, 5, 3)),
-    (8, (1, 2, 5, 3, 4)),
-    (9, (5, 1, 2, 3, 4)),
-    (13, (1, 2, 3, 4, 5)),
-    (14, (3, 1, 2, 4, 5)),
-    (15, (2, 3, 1, 4, 5)),
-    (18, (1, 4, 5, 2, 3)),
-    (19, (5, 1, 4, 2, 3)),
-    (23, (1, 4, 2, 3, 5)),
-    (24, (2, 1, 4, 3, 5)),
-    (28, (1, 4, 3, 5, 2)),
-    (29, (3, 1, 4, 5, 2)),
-    (30, (4, 3, 1, 5, 2)),
-    (33, (1, 5, 2, 4, 3)),
-    (34, (2, 1, 5, 4, 3)),
-    (38, (1, 5, 4, 3, 2)),
-    (39, (4, 1, 5, 3, 2)),
-    (43, (1, 5, 3, 2, 4)),
-    (44, (3, 1, 5, 2, 4)),
-)
 
 
 @lru_cache(maxsize=None)

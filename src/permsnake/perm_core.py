@@ -31,7 +31,6 @@ __all__ = [
     "form",
     "format_perm",
     "identity",
-    "is_perm",
     "kendall_distance",
     "linf_distance",
     "parse_perm",
@@ -50,18 +49,13 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
-def is_perm(sigma: Iterable[int]) -> bool:
-    """True if sigma is a permutation of [n] for some 1 <= n <= MAX_N."""
-    t = tuple(sigma)
-    n = len(t)
-    return 1 <= n <= MAX_N and sorted(t) == list(range(1, n + 1))
-
-
 def check_perm(sigma: Perm) -> Perm:
-    """Return sigma unchanged, raising ValueError if it is not a permutation."""
-    if not is_perm(sigma):
+    """Return sigma as a tuple, raising ValueError unless it is a permutation
+    of [n] for some 1 <= n <= MAX_N."""
+    t = tuple(sigma)
+    if not (1 <= len(t) <= MAX_N and sorted(t) == list(range(1, len(t) + 1))):
         raise ValueError(f"not a permutation of 1..n (n <= {MAX_N}): {sigma!r}")
-    return tuple(sigma)
+    return t
 
 
 def push_top(i: int, sigma: Perm) -> Perm:

@@ -1,4 +1,4 @@
-"""Depth-first search for maximal snakes, plus recorded search results.
+"""Depth-first search for maximal snakes.
 
 The search walks push-to-top extensions from a fixed start permutation with
 an explicit stack.  Its tables, built once per call, cover the orbit of the
@@ -26,10 +26,6 @@ of b may place ceil(remaining / (b - f)) nodes, remaining being the node
 budget less what the earlier branches placed.  The search stops once a code
 reaches the metric's upper bound: an equal-size code never replaces the first
 one found, so the stop changes no size, witness or optimality verdict.
-
-Also here: the recorded two-transition Chebyshev codes in octal form, the
-recorded 57-codeword cyclic Kendall snake of degree 5, and the completion
-that extends it to a non-cyclic code covering all of A_5.
 """
 
 from __future__ import annotations
@@ -41,20 +37,10 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .bounds import linf_upper, trivial_upper
-from .code_model import GrayCode, expand, verify_snake, word_ranks
-from .perm_core import Perm, ball_maps, check_perm, form, identity, push_top, sign
+from .code_model import GrayCode
+from .perm_core import Perm, ball_maps, check_perm, form, identity, push_top
 
-__all__ = [
-    "RECORDED_OCTAL_CODES",
-    "SearchResult",
-    "SearchSpec",
-    "emit_octal_code",
-    "extend_to_complete",
-    "k5_witness_code",
-    "longest_snake",
-    "parse_octal_code",
-    "recorded_octal_code",
-]
+__all__ = ["SearchResult", "SearchSpec", "longest_snake"]
 
 MAX_SEARCH_N = 8
 MAX_EXHAUSTIVE_N = 6
@@ -245,127 +231,3 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
         states=len(tables.balls),
     )
 
-
-# ---------------------------------------------------------------------------
-# Recorded codes: octal two-transition Chebyshev snakes
-# ---------------------------------------------------------------------------
-
-# Each octal digit encodes three transitions, most significant bit first;
-# bit 0 stands for t_n and bit 1 for t_{n-1}.  All three codes are cyclic
-# Chebyshev snakes from the identity (sizes 6, 30, 90).
-RECORDED_OCTAL_CODES: dict[int, str] = {
-    4: "55",
-    5: "0212206063",
-    6: "010204410222042124446130162347",
-}
-
-
-def parse_octal_code(n: int, digits: str) -> GrayCode:
-    """Decode an octal transition string into a cyclic code and validate it.
-
-    >>> parse_octal_code(4, "55").transitions
-    (3, 4, 3, 3, 4, 3)
-    """
-    if n < 3:
-        raise ValueError(f"octal codes need n >= 3, got {n}")
-    if not digits or any(c not in "01234567" for c in digits):
-        raise ValueError(f"not an octal string: {digits!r}")
-    transitions: list[int] = []
-    for c in digits:
-        d = int(c, 8)
-        for shift in (2, 1, 0):
-            transitions.append(n - 1 if (d >> shift) & 1 else n)
-    code = GrayCode(n=n, start=identity(n), transitions=tuple(transitions), cyclic=True)
-    expand(code)  # raises if codewords repeat or the cycle does not close
-    return code
-
-
-def emit_octal_code(code: GrayCode) -> str:
-    """Inverse of parse_octal_code; bit-exact round-trip.
-
-    >>> emit_octal_code(parse_octal_code(5, "0212206063"))
-    '0212206063'
-    """
-    n = code.n
-    if any(t not in (n - 1, n) for t in code.transitions):
-        raise ValueError("octal form needs every transition to be t_n or t_{n-1}")
-    if len(code.transitions) % 3 != 0:
-        raise ValueError("octal form needs a transition count divisible by 3")
-    out = []
-    for i in range(0, len(code.transitions), 3):
-        d = 0
-        for t in code.transitions[i : i + 3]:
-            d = (d << 1) | (1 if t == n - 1 else 0)
-        out.append(format(d, "o"))
-    return "".join(out)
-
-
-def recorded_octal_code(n: int) -> GrayCode:
-    """One of the recorded two-transition Chebyshev snakes (n in 4..6)."""
-    if n not in RECORDED_OCTAL_CODES:
-        raise ValueError(f"no recorded octal code for n={n}")
-    return parse_octal_code(n, RECORDED_OCTAL_CODES[n])
-
-
-# ---------------------------------------------------------------------------
-# Recorded degree-5 Kendall snake with 57 codewords, and its completion
-# ---------------------------------------------------------------------------
-
-# The 57 transitions repeat this 19-entry segment three times.
-_K5_SEGMENT = (3, 3, 5, 3, 3, 5, 3, 5, 5, 3, 3, 5, 3, 3, 5, 3, 5, 5, 5)
-
-
-def k5_witness_code() -> GrayCode:
-    """The recorded cyclic (5, 57) Kendall snake, started at the identity."""
-    return GrayCode(
-        n=5, start=identity(5), transitions=_K5_SEGMENT * 3, cyclic=True
-    )
-
-
-def extend_to_complete(code: GrayCode) -> GrayCode:
-    """Extend a cyclic Kendall snake missing exactly three even permutations
-    to a non-cyclic code covering the whole alternating group.
-
-    The three missing permutations must form a push-3 cycle with a push-5
-    landing back in the code; the result starts at the lexicographically
-    least entry point, runs the two t_3 steps and the t_5 re-entry, then the
-    whole original cycle.  The result is re-verified before returning.
-    """
-    if not code.cyclic:
-        raise ValueError("extend_to_complete expects a cyclic code")
-    if code.n < 5:
-        raise ValueError("extend_to_complete needs n >= 5 (uses a t_5 re-entry)")
-    word_index = word_ranks(code)
-    evens = [p for p in itertools.permutations(range(1, code.n + 1)) if sign(p) == 1]
-    complement = sorted(set(evens) - word_index.keys())
-    if len(complement) != 3:
-        raise ValueError(
-            f"complement of the code in the alternating group has "
-            f"{len(complement)} permutations, expected 3"
-        )
-    for c0 in complement:
-        c1 = push_top(3, c0)
-        c2 = push_top(3, c1)
-        if {c1, c2} != set(complement) - {c0} or push_top(3, c2) != c0:
-            continue
-        w = push_top(5, c2)
-        r = word_index.get(w)
-        if r is None:
-            continue
-        rotated = code.transitions[r:] + code.transitions[:r]
-        result = GrayCode(
-            n=code.n,
-            start=c0,
-            transitions=(3, 3, 5) + rotated[: len(word_index) - 1],
-            cyclic=False,
-        )
-        report = verify_snake(result, "kendall")
-        if not report.valid:
-            raise AssertionError(
-                f"extended code failed verification at pair {report.witness}"
-            )
-        return result
-    raise ValueError(
-        "the three missing permutations do not form a push-3 cycle with a "
-        "push-5 re-entry into the code"
-    )

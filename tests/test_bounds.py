@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from permsnake.bounds import (
-    bounds_row,
     bounds_table,
     ksnake_density,
     linf_upper,
@@ -54,25 +53,25 @@ def test_density_is_size_over_group_order():
 
 
 def test_bounds_row_families_present_where_defined():
-    row5 = bounds_row(5)
+    row5 = bounds_table(5, 5)[0]
     assert row5.ksnake_size == 45
     assert row5.ksnake_density == Fraction(3, 8)
     assert row5.linf_size == 18
     assert 0 < row5.ksnake_rate < 1
     assert 0 < row5.linf_rate < 1
 
-    row4 = bounds_row(4)
+    row4 = bounds_table(4, 4)[0]
     assert row4.ksnake_size is None
     assert row4.ksnake_density is None
     assert row4.linf_size == 6
 
     # size formulas extend past the build range; n=12 gives 6!*(6+5!)
-    row12 = bounds_row(12)
+    row12 = bounds_table(12, 12)[0]
     assert row12.linf_size == 90720
     assert row12.trivial_upper == math.factorial(12) // 2
     assert row12.ksnake_size is None  # even n has no kendall construction
 
-    row3 = bounds_row(3)
+    row3 = bounds_table(3, 3)[0]
     assert row3.ksnake_size == 3
     assert row3.linf_size is None
 
@@ -83,9 +82,9 @@ def test_bounds_table_range():
     with pytest.raises(ValueError):
         bounds_table(8, 4)
     with pytest.raises(ValueError):
-        bounds_row(1)
+        bounds_table(1, 1)
     with pytest.raises(ValueError):
-        bounds_row(21)
+        bounds_table(21, 21)
 
 
 def test_rates_positive_but_below_one_across_range():

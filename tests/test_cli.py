@@ -299,6 +299,87 @@ def test_repro_choices_are_the_registry_targets(capsys):
     assert run(["repro", "nope"]) == 2
 
 
+
+# What `permsnake repro <target>` prints, byte for byte: the names of the
+# checks, their order and their count are part of the record.
+REPRO_OUTPUT = {
+    "ksnake5": (
+        '{"target":"ksnake5","checks":26,"failed":0,"ok":true}\n',
+        "ok   degree-5 code has 45 codewords\n"
+        "ok   rank 0 is [5,3,1,2,4]\n"
+        "ok   rank 3 is [1,2,4,5,3]\n"
+        "ok   rank 4 is [4,1,2,5,3]\n"
+        "ok   rank 8 is [1,2,5,3,4]\n"
+        "ok   rank 9 is [5,1,2,3,4]\n"
+        "ok   rank 13 is [1,2,3,4,5]\n"
+        "ok   rank 14 is [3,1,2,4,5]\n"
+        "ok   rank 15 is [2,3,1,4,5]\n"
+        "ok   rank 18 is [1,4,5,2,3]\n"
+        "ok   rank 19 is [5,1,4,2,3]\n"
+        "ok   rank 23 is [1,4,2,3,5]\n"
+        "ok   rank 24 is [2,1,4,3,5]\n"
+        "ok   rank 28 is [1,4,3,5,2]\n"
+        "ok   rank 29 is [3,1,4,5,2]\n"
+        "ok   rank 30 is [4,3,1,5,2]\n"
+        "ok   rank 33 is [1,5,2,4,3]\n"
+        "ok   rank 34 is [2,1,5,4,3]\n"
+        "ok   rank 38 is [1,5,4,3,2]\n"
+        "ok   rank 39 is [4,1,5,3,2]\n"
+        "ok   rank 43 is [1,5,3,2,4]\n"
+        "ok   rank 44 is [3,1,5,2,4]\n"
+        "ok   pushes at ranks 13, 28, 43 use t_3\n"
+        "ok   segment stitches at ranks 14, 29, 44 use t_3\n"
+        "ok   kendall verification\n"
+        "ok   balance gap <= 7\n",
+    ),
+    "witness": (
+        '{"target":"witness","checks":9,"failed":0,"ok":true}\n',
+        "ok   witness is cyclic\n"
+        "ok   57 distinct codewords\n"
+        "ok   all codewords even\n"
+        "ok   kendall verification\n"
+        "ok   complement has 3 permutations\n"
+        "ok   complement agrees at coordinates 4 and 5\n"
+        "ok   extension is non-cyclic with 60 codewords\n"
+        "ok   extension covers the alternating group\n"
+        "ok   extension starts with t_3 t_3 t_5\n",
+    ),
+    "octal": (
+        '{"target":"octal","checks":16,"failed":0,"ok":true}\n',
+        "ok   recorded codes for n = 4, 5, 6\n"
+        "ok   n=4: cyclic\n"
+        "ok   n=4: size 6\n"
+        "ok   n=4: three pushes per octal digit\n"
+        "ok   n=4: valid linf snake\n"
+        "ok   n=4: octal round-trip\n"
+        "ok   n=5: cyclic\n"
+        "ok   n=5: size 30\n"
+        "ok   n=5: three pushes per octal digit\n"
+        "ok   n=5: valid linf snake\n"
+        "ok   n=5: octal round-trip\n"
+        "ok   n=6: cyclic\n"
+        "ok   n=6: size 90\n"
+        "ok   n=6: three pushes per octal digit\n"
+        "ok   n=6: valid linf snake\n"
+        "ok   n=6: octal round-trip\n",
+    ),
+    "bounds": (
+        '{"target":"bounds","checks":4,"failed":0,"ok":true}\n',
+        "ok   linf bound at 4..7 is 6/30/90/630\n"
+        "ok   densities 1/2 and 3/8\n"
+        "ok   density ratio recursion up to degree 19\n"
+        "ok   recorded 57 within the trivial degree-5 bound\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(REPRO_OUTPUT))
+def test_repro_output_is_pinned(capsys, target):
+    assert run(["repro", target]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == REPRO_OUTPUT[target]
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(["gen", "ksnake", "--n", "4"]) == 2
     assert "odd" in capsys.readouterr().err

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from permsnake import code_model
+from permsnake import code_model, extend_to_complete, k5_witness_code, recorded_octal_code
 from permsnake.code_model import (
     GrayCode,
     _verify_pairs,
@@ -24,7 +24,6 @@ from permsnake.ksnake import build_ksnake
 from permsnake.linf_snake import build_linf_snake
 from permsnake.perm_core import form, identity, kendall_distance, linf_distance
 from permsnake.rmgc import build_rmgc
-from permsnake.search import extend_to_complete, k5_witness_code, recorded_octal_code
 
 C3 = GrayCode(n=3, start=(1, 2, 3), transitions=(3, 3, 3), cyclic=True)
 

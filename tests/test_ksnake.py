@@ -10,9 +10,9 @@ import pytest
 
 import permsnake
 from permsnake.code_model import balance_gap, expand, verify_snake
+from permsnake import RECORDED_K5_CHECKPOINTS
 from permsnake.ksnake import (
     MAX_KSNAKE_N,
-    RECORDED_K5_CHECKPOINTS,
     build_ksnake,
     ksnake_size,
     rank_k,

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from permsnake.perm_core import (
     MAX_N,
     ball_maps,
+    check_perm,
     distance_two_maps,
     form,
     format_perm,
     identity,
-    is_perm,
     kendall_distance,
     linf_distance,
     parse_perm,
@@ -36,10 +36,10 @@ perm_pairs = st.integers(min_value=1, max_value=7).flatmap(
 
 def test_identity_and_is_perm():
     assert identity(4) == (1, 2, 3, 4)
-    assert is_perm((2, 1, 3))
-    assert not is_perm((1, 1, 2))
-    assert not is_perm((0, 1, 2))
-    assert not is_perm(())
+    assert check_perm((2, 1, 3)) == (2, 1, 3)
+    for bad in ((1, 1, 2), (0, 1, 2), ()):
+        with pytest.raises(ValueError):
+            check_perm(bad)
 
 
 def test_push_top_examples():

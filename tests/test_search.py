@@ -5,20 +5,23 @@ from pathlib import Path
 
 import pytest
 
-from permsnake.code_model import expand, verify_snake
-from permsnake.ksnake import build_ksnake
-from permsnake.perm_core import push_top, sign
-from permsnake.search import (
-    MAX_EXHAUSTIVE_N,
-    MAX_SEARCH_N,
+from permsnake import (
     RECORDED_OCTAL_CODES,
-    SearchSpec,
+    GrayCode,
     emit_octal_code,
     extend_to_complete,
     k5_witness_code,
-    longest_snake,
     parse_octal_code,
     recorded_octal_code,
+)
+from permsnake.code_model import expand, verify_snake
+from permsnake.ksnake import build_ksnake
+from permsnake.perm_core import identity, push_top, sign
+from permsnake.search import (
+    MAX_EXHAUSTIVE_N,
+    MAX_SEARCH_N,
+    SearchSpec,
+    longest_snake,
     _build_tables,
 )
 
@@ -58,6 +61,16 @@ def test_emit_requires_two_letter_alphabet():
         emit_octal_code(code)
 
 
+def test_emit_refuses_what_the_octal_form_cannot_record():
+    # "55"'s transitions from another start, and as a non-cyclic code: both
+    # would parse back as the cyclic code from the identity
+    transitions = (3, 4, 3, 3, 4, 3)
+    with pytest.raises(ValueError, match=r"starts at \[2,1,3,4\]"):
+        emit_octal_code(GrayCode(4, (2, 1, 3, 4), transitions, True))
+    with pytest.raises(ValueError, match="not cyclic"):
+        emit_octal_code(GrayCode(4, identity(4), transitions, False))
+
+
 def test_witness_fixture():
     code = k5_witness_code()
     assert code.cyclic
@@ -93,6 +106,13 @@ def test_extend_to_complete_covers_alternating_group():
 def test_extend_to_complete_needs_complement_of_three():
     with pytest.raises(ValueError):
         extend_to_complete(build_ksnake(5))  # complement has 15 words
+
+
+def test_extend_to_complete_checks_the_size_before_enumerating():
+    # 9 codewords against 9!/2 - 3; refused without walking A_9
+    code = GrayCode(9, identity(9), (9,) * 9, True)
+    with pytest.raises(ValueError, match=r"181437 codewords at n=9, got 9"):
+        extend_to_complete(code)
 
 
 def test_longest_snake_small_kendall_cases():
