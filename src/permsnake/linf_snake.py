@@ -55,7 +55,10 @@ MAX_LINF_N = 10
 
 
 def linf_size(n: int, variant: str = "odd-top") -> int:
-    """Codeword count of build_linf_snake(n, variant)."""
+    """Codeword count of build_linf_snake(n, variant); the closed form holds
+    beyond MAX_LINF_N too."""
+    if n < MIN_LINF_N:
+        raise ValueError(f"n must be >= {MIN_LINF_N}, got {n}")
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     p = (n + 1) // 2

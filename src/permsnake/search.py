@@ -107,7 +107,7 @@ class _Tables:
 
     balls: list[tuple[int, ...]]  # closed radius-1 ball in the orbit; the start only in its own
     moves: list[tuple[tuple[int, int], ...]]  # (t, push_top(t, state)) per t
-    closers: tuple[tuple[int, int], ...]  # (t, the state t pushes to the start) per t
+    closing: list[int]  # the push that returns each state to the start, 0 where none does
 
 
 def _build_tables(spec: SearchSpec) -> _Tables:
@@ -140,60 +140,10 @@ def _build_tables(spec: SearchSpec) -> _Tables:
     # t pushes s[1:t] + s[:1] + s[t:] to s, and no other state; it is in the
     # orbit, because t applied t-1 times to s gives it.
     s = spec.start
-    closers = tuple((t, index[s[1:t] + s[:1] + s[t:]]) for t in alphabet)
-    return _Tables(balls, moves, closers)
-
-
-def _explore(
-    tables: _Tables, cyclic: bool, first: int, offset: int, budget: Optional[int],
-    bound: int, best: tuple[int, Optional[tuple[int, ...]]],
-) -> tuple[tuple[int, Optional[tuple[int, ...]]], int, bool]:
-    """Search one branch: the codes whose first push is the alphabet's entry
-    number first and whose pushes all come from the alphabet's suffix at
-    offset, until one reaches bound.  best is the (size, transitions, with the
-    closing push for cyclic codes) of the largest code so far, and a code
-    replaces it only if larger.  Returns (best, placements, exhausted)."""
-    balls = tables.balls
-    moves = tables.moves if offset == 0 else [mv[offset:] for mv in tables.moves]
-    closing = [0] * len(balls)  # the push back to the start, 0 where there is none
-    for t, state in tables.closers[offset:]:
-        closing[state] = t
-    blocked = [0] * len(balls)
-    for u in balls[0]:
-        blocked[u] += 1
-    limit = math.inf if budget is None else budget
-    best_size, best_trans = best
-    nodes = 0
-    # One entry (state, the push that reached it, the untried siblings) per
-    # placed state; children iterates the top state's untried pushes.
-    stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
-    children = iter(tables.moves[0][first : first + 1])
-    while True:
-        for t, nxt in children:
-            if not blocked[nxt]:
-                break
-        else:
-            if not stack:
-                return (best_size, best_trans), nodes, True
-            state, _, children = stack.pop()
-            for u in balls[state]:
-                blocked[u] -= 1
-            continue
-        if nodes >= limit:
-            return (best_size, best_trans), nodes, False
-        nodes += 1
-        for u in balls[nxt]:
-            blocked[u] += 1
-        stack.append((nxt, t, children))
-        children = iter(moves[nxt])
-        # the code through the placed states has len(stack) + 1 codewords
-        if len(stack) >= best_size and (closing[nxt] or not cyclic):
-            best_size = len(stack) + 1
-            best_trans = tuple(entry[1] for entry in stack)
-            if cyclic:
-                best_trans += (closing[nxt],)
-            if best_size >= bound:
-                return (best_size, best_trans), nodes, False
+    closing = [0] * len(index)
+    for t in alphabet:
+        closing[index[s[1:t] + s[:1] + s[t:]]] = t
+    return _Tables(balls, moves, closing)
 
 
 def longest_snake(spec: SearchSpec) -> SearchResult:
@@ -204,30 +154,65 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
     for what exhaustion certifies under each metric).
     """
     tables = _build_tables(spec)
+    balls, closing = tables.balls, tables.closing
     bound = trivial_upper(spec.n) if spec.metric == "kendall" else linf_upper(spec.n)
+    cyclic, alphabet, budget = spec.cyclic, spec.allowed_transitions, spec.node_budget
     # A cyclic Kendall branch keeps to pushes >= its first (module docstring).
-    split_on_min = spec.metric == "kendall" and spec.cyclic
-    best = (0, None) if spec.cyclic else (1, ())
+    split_on_min = spec.metric == "kendall" and cyclic
+    # (size, transitions, with the closing push for cyclic codes) of the
+    # largest code so far; a code replaces it only if larger
+    best_size, best_trans = (0, None) if cyclic else (1, ())
     nodes = 0
     exhausted = True
-    b, budget = len(spec.allowed_transitions), spec.node_budget
+    b = len(alphabet)
     for f in range(b):
-        if best[0] >= bound:
+        if best_size >= bound:
             break
         # an even share of what the earlier branches left
-        share = None if budget is None else -(-(budget - nodes) // (b - f))
-        best, branch_nodes, branch_done = _explore(
-            tables, spec.cyclic, f, f if split_on_min else 0, share, bound, best
-        )
-        nodes += branch_nodes
-        exhausted = exhausted and branch_done
+        limit = math.inf if budget is None else nodes + -(-(budget - nodes) // (b - f))
+        # the branch pushes, and closes its code, only with least and above
+        offset = f if split_on_min else 0
+        least = alphabet[offset]
+        moves = tables.moves if offset == 0 else [mv[offset:] for mv in tables.moves]
+        blocked = [0] * len(balls)
+        for u in balls[0]:
+            blocked[u] += 1
+        # One entry (state, the push that reached it, the untried siblings)
+        # per placed state; children iterates the top state's untried pushes.
+        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
+        children = iter(tables.moves[0][f : f + 1])
+        while True:
+            for t, nxt in children:
+                if not blocked[nxt]:
+                    break
+            else:
+                if not stack:
+                    break
+                state, _, children = stack.pop()
+                for u in balls[state]:
+                    blocked[u] -= 1
+                continue
+            if nodes >= limit:
+                exhausted = False
+                break
+            nodes += 1
+            for u in balls[nxt]:
+                blocked[u] += 1
+            stack.append((nxt, t, children))
+            children = iter(moves[nxt])
+            # the code through the placed states has len(stack) + 1 codewords
+            if len(stack) >= best_size and (closing[nxt] >= least or not cyclic):
+                best_size = len(stack) + 1
+                best_trans = tuple(entry[1] for entry in stack)
+                if cyclic:
+                    best_trans += (closing[nxt],)
+                if best_size >= bound:
+                    break
 
-    size, trans = best
     code = None
-    if trans is not None:
-        code = GrayCode(n=spec.n, start=spec.start, transitions=trans, cyclic=spec.cyclic)
+    if best_trans is not None:
+        code = GrayCode(n=spec.n, start=spec.start, transitions=best_trans, cyclic=cyclic)
     return SearchResult(
-        best=code, size=size, proven_optimal=exhausted or size >= bound, nodes=nodes,
-        states=len(tables.balls),
+        best=code, size=best_size, proven_optimal=exhausted or best_size >= bound,
+        nodes=nodes, states=len(balls),
     )
-

@@ -50,6 +50,12 @@ def test_sizes_both_variants():
     ]
 
 
+@pytest.mark.parametrize("n", [3, 1])
+def test_size_refuses_lengths_without_a_construction(n):
+    with pytest.raises(ValueError, match=f"n must be >= 4, got {n}$"):
+        linf_size(n)
+
+
 def test_even_top_strictly_smaller_for_odd_n():
     for n in (5, 7, 9):
         assert linf_size(n, "even-top") < linf_size(n)
