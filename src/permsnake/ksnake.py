@@ -3,9 +3,9 @@
 The family is recursive.  The degree-N code (N odd, parameter n with
 N = 2n+1) is assembled from 2n-1 traversals of the degree N-2 code, giving
 sizes M_3 = 3 and M_N = (N-2) * N * M_{N-2}: 3, 45, 1575, 99225 for
-N = 3, 5, 7, 9.  All transitions are t_3 or t_N, both odd pushes, so the
-codewords stay inside the alternating group and every pair of distinct
-codewords is at Kendall distance at least 2.
+N = 3, 5, 7, 9.  Every push is odd (t_3, t_5, ..., t_N), so the codewords
+stay inside the alternating group and every pair of distinct codewords is at
+Kendall distance at least 2.
 
 Layout of the degree-N code (degree alphabet: the values [N] minus {1, 3},
 written a_0 = 2, a_i = i+3): it is the concatenation of 2n-1 cycle segments,
@@ -20,14 +20,14 @@ codewords at degree 7).  Above it they follow the recursive structure down
 to degree 7 without expanding the code.  rank_k is exact: it raises
 ValueError on every permutation outside the code, the table's dict refusing
 whatever the recursion hands down that is not a degree-7 codeword.
-successor_k is the push at rank_k(sigma), read from the segment layout
-(_push_at, which reads the stored transitions up to degree 7), so it raises
-on exactly the words rank_k rejects and works past build_ksnake's degree
-cap.  One normalization is baked in: the recursion's natural degree-3 origin
-is [2,3,1], while the stored degree-3 code starts at [1,2,3]; the subcode
-origin rank (_subcode_origin) is adjusted so that build_ksnake(5) and the
-recursion above it match the expansion exactly.  The recorded degree-5
-checkpoints that pin that expansion live with the other recorded artifacts in
+successor_k is the push at rank_k(sigma), read from the segment layout at
+every degree down to 3 (_push_at), so it raises on exactly the words rank_k
+rejects and works past build_ksnake's degree cap.  One normalization is
+baked in: the recursion's natural degree-3 origin is [2,3,1], while the
+stored degree-3 code starts at [1,2,3]; the subcode origin rank
+(_subcode_origin) is adjusted so that build_ksnake(5) and the recursion
+above it match the expansion exactly.  The recorded degree-5 checkpoints
+that pin that expansion live with the other recorded artifacts in
 permsnake.repro.
 """
 
@@ -64,20 +64,10 @@ def ksnake_size(N: int) -> int:
     return m
 
 
-def _alphabet_value(n: int, i: int) -> int:
-    """a_i at recursion order n: 2, 4, 5, ..., 2n+1 for i = 0..2n-2."""
-    if not 0 <= i <= 2 * n - 2:
-        raise ValueError(f"alphabet index {i} out of range for order {n}")
-    return 2 if i == 0 else i + 3
-
-
-def _alphabet_index(n: int, b: int) -> int:
-    """Ind: position of value b in the order-n alphabet."""
-    if b == 2:
-        return 0
-    if 4 <= b <= 2 * n + 1:
-        return b - 3
-    raise ValueError(f"value {b} is not in the order-{n} top-cycle alphabet")
+@lru_cache(maxsize=None)
+def _alphabet(n: int) -> tuple[int, ...]:
+    """The order-n alphabet a_0, ..., a_{2n-2}: 2, 4, 5, ..., 2n+1."""
+    return (2, *range(4, 2 * n + 2))
 
 
 def _subcode_origin(n: int) -> int:
@@ -88,22 +78,14 @@ def _subcode_origin(n: int) -> int:
     return 2 if n == 2 else 2 * n - 4
 
 
-def _up(n: int, j: int, b: int) -> int:
-    """Lift a degree 2n-1 value into the tail of the degree 2n+1 code (cycle
-    offset j)."""
-    if b == 1:
-        return 3
-    if b == 3:
-        return _alphabet_value(n, (j + 1) % (2 * n - 1))
-    s = _alphabet_index(n - 1, b)
-    return _alphabet_value(n, (j - s - 1) % (2 * n - 1))
-
-
 @lru_cache(maxsize=None)
 def _value_maps(n: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(down, up), indexed by value: up is _up at offset j, down its inverse
-    on the tail values of the degree 2n+1 code (1 and a_j map to 0)."""
-    up = (0,) + tuple(_up(n, j, b) for b in range(1, 2 * n))
+    """(down, up), indexed by value: up lifts the degree 2n-1 values into the
+    tail of the degree 2n+1 code at cycle offset j (1 to 3, 3 to a_{j+1}, and
+    a_s of order n-1 to a_{j-s-1}, indices mod 2n-1), down is its inverse on
+    those tail values (1 and a_j map to 0)."""
+    a, L = _alphabet(n), 2 * n - 1
+    up = (0, 3, a[j - 1], a[(j + 1) % L], *(a[(j + 2 - b) % L] for b in range(4, 2 * n)))
     down = [0] * (2 * n + 2)
     for b in range(1, 2 * n):
         down[up[b]] = b
@@ -133,7 +115,7 @@ def build_ksnake(N: int) -> GrayCode:
         segment.extend([N] * (2 * n))
     segment.extend((3, 3))
     start = push_top(N, push_top(3, identity(N)))
-    a = [_alphabet_value(n, i) for i in range(2 * n - 1)]
+    a = _alphabet(n)
     for c in range(2 * n - 1):
         head = (1, a[c], 3) + tuple(a[(c + t) % (2 * n - 1)] for t in range(1, 2 * n - 1))
         if sign(head) != 1:
@@ -152,8 +134,8 @@ def _push_at(N: int, r: int) -> int:
     """build_ksnake(N).transitions[r], from the segment layout: N repeated
     N-2 times, then M_{N-2}-1 blocks (N+1-k, then N repeated N-1 times),
     then 3, 3; block b's k is the degree N-2 push at its subcode rank."""
-    if N <= _MAX_TABLE_N:
-        return build_ksnake(N).transitions[r]
+    if N == 3:
+        return 3
     m = ksnake_size(N - 2)
     pos = r % (N * m) - (N - 2)
     if pos < 0:
@@ -201,7 +183,7 @@ def _rank_k(sigma: Perm) -> int:
     n = (N - 1) // 2
     i = sigma.index(1)
     rot = sigma[i:] + sigma[:i]  # rot = (1, a_j, tail)
-    j = _alphabet_index(n, rot[1])
+    j = _alphabet(n).index(rot[1])
     down = _value_maps(n, j)[0]
     # down is one-to-one on the tail values, so sub is a permutation
     sub = tuple(map(down.__getitem__, rot[:1:-1]))
@@ -236,7 +218,7 @@ def _unrank_k(N: int, k: int) -> Perm:
     j, pos = divmod(k, N * m_small)
     sub_rank = ((pos + 1) // N + 1 + _subcode_origin(n)) % m_small
     up = _value_maps(n, j)[1]
-    sigma = (1, _alphabet_value(n, j)) + tuple(
+    sigma = (1, _alphabet(n)[j]) + tuple(
         map(up.__getitem__, reversed(_unrank_k(N - 2, sub_rank)))
     )
     shift = (pos + 2) % N  # that many t_N pushes: a right rotation

@@ -174,10 +174,8 @@ def _rank_inf_raw(sigma: Perm, p: int, q: int) -> int:
         raise ValueError("the even values do not lead the word")
     odd_half = tuple((v + 1) // 2 for v in sigma[q:])
     r_block = odd_ranks[odd_half]
-    if q == 2:
-        return q + blk * r_block
     prefix = tuple(v // 2 for v in sigma[: q - 1])
-    if r_block % 2 == 1:
+    if q > 2 and r_block % 2 == 1:
         prefix = _swap12(prefix)
     return q + blk * r_block + _arrangements(q - 1)[1][prefix]
 
@@ -214,7 +212,7 @@ def unrank_inf(n: int, k: int) -> Perm:
     if r < q:
         return a[q - r :] + (odds[0],) + a[: q - r] + odds[1:]
     prefix = _arrangements(q - 1)[0][r - q]
-    if q >= 3 and r_block % 2 == 1:
+    if q > 2 and r_block % 2 == 1:
         prefix = _swap12(prefix)
     evens = tuple(2 * v for v in prefix) + (2 * q,)
     return evens + odds

@@ -100,17 +100,13 @@ class SearchResult:
     states: int
 
 
-@dataclass(frozen=True)
-class _Tables:
-    """The tables of one search over the orbit of its start under the
-    spec's sorted alphabet; state 0 is the start."""
-
-    balls: list[tuple[int, ...]]  # closed radius-1 ball in the orbit; the start only in its own
-    moves: list[tuple[tuple[int, int], ...]]  # (t, push_top(t, state)) per t
-    closing: list[int]  # the push that returns each state to the start, 0 where none does
-
-
-def _build_tables(spec: SearchSpec) -> _Tables:
+def _build_tables(
+    spec: SearchSpec,
+) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, int], ...]], list[int]]:
+    """(balls, moves, closing) over the orbit of the start under the spec's
+    sorted alphabet, state 0 being the start: each state's closed radius-1
+    ball in the orbit (the start only in its own), its (t, push_top(t, state))
+    per t, and the push that returns it to the start, 0 where none does."""
     alphabet = spec.allowed_transitions
     # push_top(t, p) takes p's entries in the order that push_top(t, ·) puts
     # the positions 0..n-1 in.
@@ -143,7 +139,7 @@ def _build_tables(spec: SearchSpec) -> _Tables:
     closing = [0] * len(index)
     for t in alphabet:
         closing[index[s[1:t] + s[:1] + s[t:]]] = t
-    return _Tables(balls, moves, closing)
+    return balls, moves, closing
 
 
 def longest_snake(spec: SearchSpec) -> SearchResult:
@@ -153,8 +149,7 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
     or the best size equals the metric's upper bound (see module docstring
     for what exhaustion certifies under each metric).
     """
-    tables = _build_tables(spec)
-    balls, closing = tables.balls, tables.closing
+    balls, all_moves, closing = _build_tables(spec)
     bound = trivial_upper(spec.n) if spec.metric == "kendall" else linf_upper(spec.n)
     cyclic, alphabet, budget = spec.cyclic, spec.allowed_transitions, spec.node_budget
     # A cyclic Kendall branch keeps to pushes >= its first (module docstring).
@@ -173,14 +168,14 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
         # the branch pushes, and closes its code, only with least and above
         offset = f if split_on_min else 0
         least = alphabet[offset]
-        moves = tables.moves if offset == 0 else [mv[offset:] for mv in tables.moves]
+        moves = all_moves if offset == 0 else [mv[offset:] for mv in all_moves]
         blocked = [0] * len(balls)
         for u in balls[0]:
             blocked[u] += 1
         # One entry (state, the push that reached it, the untried siblings)
         # per placed state; children iterates the top state's untried pushes.
         stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
-        children = iter(tables.moves[0][f : f + 1])
+        children = iter(all_moves[0][f : f + 1])
         while True:
             for t, nxt in children:
                 if not blocked[nxt]:

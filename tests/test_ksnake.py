@@ -104,12 +104,19 @@ def test_successor_walks_the_whole_cycle(N):
         assert push_top(t, w) == words[(r + 1) % M]
 
 
-def test_successor_steps_to_the_next_rank_past_the_build_cap():
-    # degree 11 is past MAX_KSNAKE_N, so no transition list exists to read
-    rng = random.Random(11)
-    for k in rng.sample(range(ksnake_size(11) - 1), 200):
-        w = unrank_k(5, k)
-        assert push_top(successor_k(5, w), w) == unrank_k(5, k + 1)
+@pytest.mark.parametrize("N", [11, 13, 19])
+def test_successor_steps_to_the_next_rank_past_the_build_cap(N):
+    # past MAX_KSNAKE_N no transition list exists to read; the layout
+    # recursion runs down to degree 3, so the samples take in the wrap and
+    # the edges of the first segments and of their subcode blocks
+    n, size, M = (N - 1) // 2, ksnake_size(N), ksnake_size(N - 2)
+    rng = random.Random(N)
+    ranks = rng.sample(range(size), 200) + [size - 1] + [
+        j * N * M + d for j in range(3) for d in (0, N - 3, N - 2, N * M - 2, N * M - 1)
+    ]
+    for k in ranks:
+        w = unrank_k(n, k)
+        assert push_top(successor_k(n, w), w) == unrank_k(n, (k + 1) % size)
 
 
 @pytest.mark.parametrize("N", [3, 5, 7, 9])

@@ -247,6 +247,6 @@ def test_tiny_orbits(spec, size, nodes, states):
 
 def test_odd_push_kendall_balls_hold_only_their_centre():
     # Odd pushes keep the parity, and a Kendall neighbour has the other one.
-    tables = _build_tables(SearchSpec(n=5, metric="kendall", allowed_transitions=(3, 5)))
-    assert len(tables.balls) == 60
-    assert all(ball == (i,) for i, ball in enumerate(tables.balls))
+    balls = _build_tables(SearchSpec(n=5, metric="kendall", allowed_transitions=(3, 5)))[0]
+    assert len(balls) == 60
+    assert all(ball == (i,) for i, ball in enumerate(balls))
