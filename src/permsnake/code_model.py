@@ -23,6 +23,7 @@ from typing import Optional
 
 from .perm_core import (
     MAX_N,
+    PUSH_MAPS,
     Perm,
     ball_maps,
     check_perm,
@@ -46,9 +47,6 @@ __all__ = [
 
 METRICS = ("kendall", "linf")
 _DISTANCE = {"kendall": kendall_distance, "linf": linf_distance}
-# push_top(t, ·) on a Kendall form, the inverse, moves values: p -> p+1 below t, t -> 1
-_PUSH_MAPS = {t: bytes.maketrans(bytes(range(1, t + 1)), bytes((*range(2, t + 1), 1)))
-              for t in range(2, MAX_N + 1)}
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ def _ranks(code: GrayCode, metric: Optional[str] = None) -> dict:
     kendall = metric == "kendall"
     steps = code.transitions if not code.cyclic else code.transitions[:-1]
     for k, t in enumerate(steps, 1):
-        cur = cur.translate(_PUSH_MAPS[t]) if kendall else cur[t - 1 : t] + cur[: t - 1] + cur[t:]
+        cur = cur.translate(PUSH_MAPS[t]) if kendall else cur[t - 1 : t] + cur[: t - 1] + cur[t:]
         dup = ranks.setdefault(cur, k)
         if dup != k:
             word = tuple(form(metric or "linf", cur))

@@ -24,6 +24,7 @@ MAX_N = 20
 
 __all__ = [
     "MAX_N",
+    "PUSH_MAPS",
     "Perm",
     "ball_maps",
     "check_perm",
@@ -153,6 +154,11 @@ def form(metric: str, sigma: Iterable[int]) -> bytes:
         return word
     ident = bytes(range(1, len(word) + 1))
     return ident.translate(bytes.maketrans(word, ident))
+
+
+# push_top(t, ·) on a Kendall form, the inverse, moves values: p -> p+1 below t, t -> 1
+PUSH_MAPS = {t: bytes.maketrans(bytes(range(1, t + 1)), bytes((*range(2, t + 1), 1)))
+             for t in range(2, MAX_N + 1)}
 
 
 def _moving(n: int, reach: int, images: Perm = (), used: int = 0) -> Iterator[bytes]:

@@ -5,11 +5,13 @@ an explicit stack.  Its tables, built once per call, cover the orbit of the
 start under the allowed pushes and nothing else, because no code through the
 start leaves it: the odd pushes t_3, t_5, ... reach at most the n!/2
 permutations of the start's parity, and a single push t_k only k of them.
-It keeps a blocked-counter over the orbit: placing a codeword increments
-every state of the orbit in its closed radius-1 ball, so a candidate
-extension is legal exactly when its counter is zero.  Transitions are tried in
-ascending index order, which makes the first maximal code found the
-lexicographically least witness and the whole search deterministic.
+The orbit is found breadth-first on byte forms (perm_core.form), which the
+pushes step in C.  The search keeps a blocked-counter over the orbit:
+placing a codeword increments every state of the orbit in its closed
+radius-1 ball, built the first time the search places that state, so a
+candidate extension is legal exactly when its counter is zero.  Transitions
+are tried in ascending index order, which makes the first maximal code found
+the lexicographically least witness and the whole search deterministic.
 
 For cyclic Kendall searches the tree is additionally split on the minimum
 transition index f appearing anywhere in the cyclic transition sequence:
@@ -34,11 +36,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .bounds import linf_upper, trivial_upper
 from .code_model import GrayCode
-from .perm_core import Perm, ball_maps, check_perm, form, identity, push_top
+from .perm_core import PUSH_MAPS, Perm, ball_maps, check_perm, form, identity
 
 __all__ = ["SearchResult", "SearchSpec", "longest_snake"]
 
@@ -100,46 +102,50 @@ class SearchResult:
     states: int
 
 
-def _build_tables(
-    spec: SearchSpec,
-) -> tuple[list[tuple[int, ...]], list[tuple[tuple[int, int], ...]], list[int]]:
-    """(balls, moves, closing) over the orbit of the start under the spec's
-    sorted alphabet, state 0 being the start: each state's closed radius-1
-    ball in the orbit (the start only in its own), its (t, push_top(t, state))
-    per t, and the push that returns it to the start, 0 where none does."""
-    alphabet = spec.allowed_transitions
-    # push_top(t, p) takes p's entries in the order that push_top(t, ·) puts
-    # the positions 0..n-1 in.
-    pushes = [itemgetter(*push_top(t, tuple(range(spec.n)))) for t in alphabet]
+def _build_tables(spec: SearchSpec) -> tuple[
+        list[Optional[tuple[int, ...]]], Callable[[int], tuple[int, ...]], list, list[int]]:
+    """(balls, ball, moves, closing) over the orbit of the start under the
+    spec's sorted alphabet, state 0 being the start: ball(i) builds state i's
+    closed radius-1 ball in the orbit (the start only in its own) into
+    balls[i], None until then; moves[i] holds (t, push_top(t, ·)) of state i
+    per t, and closing[i] the push that returns it to the start, 0 if none."""
+    alphabet, metric, kendall = spec.allowed_transitions, spec.metric, spec.metric == "kendall"
+    # A state is its byte form (perm_core.form), which a push steps in C: a
+    # value map on a Kendall form, three slices joined on a Chebyshev word.
+    cuts = [itemgetter(slice(t - 1, t), slice(t - 1), slice(t, None)) for t in alphabet]
     # Breadth-first from the start: setdefault gives each state its number,
     # and a state reached for the first time the next one, len(index), which
     # numbers reads just before each call.  A level is a run of consecutive
     # numbers, so each column lists its push's moves in state order.
-    index = {spec.start: 0}
+    index = {form(metric, spec.start): 0}
     numbers = iter(index.__len__, -1)
     columns: list[list[tuple[int, int]]] = [[] for _ in alphabet]
-    level = [spec.start]
+    level = list(index)
     while level:
         reached = len(index)
-        for column, t, push in zip(columns, alphabet, pushes):
-            column += zip(itertools.repeat(t), map(index.setdefault, map(push, level), numbers))
+        for column, t, cut in zip(columns, alphabet, cuts):
+            pushed = (map(bytes.translate, level, itertools.repeat(PUSH_MAPS[t])) if kendall
+                      else map(b"".join, map(cut, level)))
+            column += zip(itertools.repeat(t), map(index.setdefault, pushed, numbers))
         level = list(itertools.islice(index, reached, None))
     moves = list(zip(*columns))
-    # A ball is a form (perm_core.form) translated by the metric's value maps.
-    # filter(None, ·) drops the members outside the orbit (get gives None),
-    # which the search never places or looks up, and the start, 0, whose
-    # counter never reaches zero anyway, as the start stays placed.
-    form_index = {form(spec.metric, p): i for i, p in enumerate(index)}
-    maps = ball_maps(spec.metric, spec.n)
-    balls = [(i, *filter(None, map(form_index.get, map(f.translate, maps))))
-             for i, f in enumerate(form_index)]
+    # A ball is a form translated by the metric's value maps.  filter(None, ·)
+    # drops the members outside the orbit (get gives None), which the search
+    # never places or looks up, and the start, 0, whose counter never reaches
+    # zero anyway, as the start stays placed.
+    forms, get, maps = list(index), index.get, ball_maps(metric, spec.n)
+    balls: list[Optional[tuple[int, ...]]] = [None] * len(forms)
+
+    def ball(i: int) -> tuple[int, ...]:
+        members = balls[i] = (i, *filter(None, map(get, map(forms[i].translate, maps))))
+        return members
     # t pushes s[1:t] + s[:1] + s[t:] to s, and no other state; it is in the
     # orbit, because t applied t-1 times to s gives it.
     s = spec.start
-    closing = [0] * len(index)
+    closing = [0] * len(forms)
     for t in alphabet:
-        closing[index[s[1:t] + s[:1] + s[t:]]] = t
-    return balls, moves, closing
+        closing[index[form(metric, s[1:t] + s[:1] + s[t:])]] = t
+    return balls, ball, moves, closing
 
 
 def longest_snake(spec: SearchSpec) -> SearchResult:
@@ -149,7 +155,7 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
     or the best size equals the metric's upper bound (see module docstring
     for what exhaustion certifies under each metric).
     """
-    balls, all_moves, closing = _build_tables(spec)
+    balls, ball, all_moves, closing = _build_tables(spec)
     bound = trivial_upper(spec.n) if spec.metric == "kendall" else linf_upper(spec.n)
     cyclic, alphabet, budget = spec.cyclic, spec.allowed_transitions, spec.node_budget
     # A cyclic Kendall branch keeps to pushes >= its first (module docstring).
@@ -170,7 +176,7 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
         least = alphabet[offset]
         moves = all_moves if offset == 0 else [mv[offset:] for mv in all_moves]
         blocked = [0] * len(balls)
-        for u in balls[0]:
+        for u in balls[0] or ball(0):
             blocked[u] += 1
         # One entry (state, the push that reached it, the untried siblings)
         # per placed state; children iterates the top state's untried pushes.
@@ -191,7 +197,7 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
                 exhausted = False
                 break
             nodes += 1
-            for u in balls[nxt]:
+            for u in balls[nxt] or ball(nxt):
                 blocked[u] += 1
             stack.append((nxt, t, children))
             children = iter(moves[nxt])

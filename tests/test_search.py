@@ -1,5 +1,8 @@
 """Depth-first search."""
 
+import dataclasses
+import hashlib
+import random
 from pathlib import Path
 
 import pytest
@@ -188,17 +191,45 @@ def test_pinned_search_results(spec, size, nodes, proven, transitions):
 
 
 @pytest.mark.parametrize(
+    "spec, size, nodes, proven, states, witness_sha256",
+    [
+        (SearchSpec(n=7, metric="kendall", allowed_transitions=(3, 5, 7), node_budget=20000),
+         153, 13340, False, 2520,
+         "7c530fc4645ecf43ff96aa991b9806564a9d99dd37131195ffc8bc33c468b49c"),
+        (SearchSpec(n=8, metric="kendall", node_budget=20000), 2749, 16674, False, 40320,
+         "87fd803b7e3be4505d4cc59710a4914e82a6271ab1061244fa375410f6fce703"),
+        (SearchSpec(n=8, metric="linf", node_budget=20000), 1470, 20000, False, 40320,
+         "3fd0530799d1ba884233adf7127cdefed1dd3674033e12a3349434b0780efd71"),
+    ],
+    ids=["kendall7_p357_b20000", "kendall8_b20000", "linf8_b20000"],
+)
+def test_long_paths_need_no_deep_stack(
+    shallow_stack, spec, size, nodes, proven, states, witness_sha256
+):
+    r = longest_snake(spec)
+    assert (r.size, r.nodes, r.proven_optimal, r.states) == (size, nodes, proven, states)
+    assert hashlib.sha256(bytes(r.best.transitions)).hexdigest() == witness_sha256
+    assert verify_snake(r.best, spec.metric).valid
+
+
+@pytest.mark.parametrize(
     "spec",
     [
+        SearchSpec(n=6, metric="kendall", node_budget=50000),
         SearchSpec(n=7, metric="kendall", allowed_transitions=(3, 5, 7), node_budget=20000),
-        SearchSpec(n=8, metric="kendall", node_budget=20000),
     ],
-    ids=["kendall7_p357_b20000", "kendall8_b20000"],
+    ids=["kendall6_b50000", "kendall7_p357_b20000"],
 )
-def test_long_paths_need_no_deep_stack(shallow_stack, spec):
+def test_kendall_results_do_not_depend_on_the_start_labels(spec):
+    # Kendall distance is invariant under relabelling values, so any start
+    # gives the identity start's search tree, walked on other byte forms.
     r = longest_snake(spec)
-    assert r.nodes <= 20000
-    assert verify_snake(r.best, "kendall").valid
+    for seed in (1, 2):
+        start = tuple(random.Random(seed).sample(spec.start, spec.n))
+        relabelled = longest_snake(dataclasses.replace(spec, start=start))
+        assert relabelled.best.start == start
+        assert (relabelled.size, relabelled.nodes, relabelled.states, relabelled.best.transitions) == (
+            r.size, r.nodes, r.states, r.best.transitions)
 
 
 def _sweep_cases():
@@ -247,6 +278,6 @@ def test_tiny_orbits(spec, size, nodes, states):
 
 def test_odd_push_kendall_balls_hold_only_their_centre():
     # Odd pushes keep the parity, and a Kendall neighbour has the other one.
-    balls = _build_tables(SearchSpec(n=5, metric="kendall", allowed_transitions=(3, 5)))[0]
+    balls, ball = _build_tables(SearchSpec(n=5, metric="kendall", allowed_transitions=(3, 5)))[:2]
     assert len(balls) == 60
-    assert all(ball == (i,) for i, ball in enumerate(balls))
+    assert all(ball(i) == (i,) for i in range(len(balls)))
