@@ -23,6 +23,17 @@ distance is not translation invariant, so no such split is applied there and
 exhaustion certifies optimality among codes through the fixed start; hitting
 the metric's upper bound certifies global optimality for either metric.
 
+A cyclic code closes at a closer, a state one allowed push before the start.
+Counters only rise below a node, so once every closer the branch may close
+at (push >= its first, under the split) is blocked, no code below the node
+closes, and the search does not expand it: the node still counts and may
+still close a code itself.  Only placing a state whose ball holds a closer
+blocks one, so the closers' counters are read only after such placements,
+and a branch is skipped outright when the start's ball blocks all of them.
+Exhaustive searches keep their sizes and witnesses with fewer nodes, a
+budgeted one spends the nodes saved on subtrees that can still close, and
+open searches are left alone.
+
 The branches, one per first transition, run in ascending order.  Branch f
 of b may place ceil(remaining / (b - f)) nodes, remaining being the node
 budget less what the earlier branches placed.  The search stops once a code
@@ -93,7 +104,10 @@ class SearchSpec:
 class SearchResult:
     """best is None only when no code satisfying the spec was found (a cyclic
     spec admitting no closure at all).  states is the size of the start's
-    orbit under the allowed pushes, the states the search could reach."""
+    orbit under the allowed pushes, the states the search could reach.
+    proven_optimal claims optimality among all codes over the allowed pushes
+    under Kendall or at the metric's upper bound, but an exhausted Chebyshev
+    search below the bound is optimal only among codes through the start."""
 
     best: Optional[GrayCode]
     size: int
@@ -103,12 +117,14 @@ class SearchResult:
 
 
 def _build_tables(spec: SearchSpec) -> tuple[
-        list[Optional[tuple[int, ...]]], Callable[[int], tuple[int, ...]], list, list[int]]:
-    """(balls, ball, moves, closing) over the orbit of the start under the
-    spec's sorted alphabet, state 0 being the start: ball(i) builds state i's
-    closed radius-1 ball in the orbit (the start only in its own) into
-    balls[i], None until then; moves[i] holds (t, push_top(t, ·)) of state i
-    per t, and closing[i] the push that returns it to the start, 0 if none."""
+        list[Optional[tuple[int, ...]]], Callable[[int], tuple[int, ...]], list, list[int],
+        list[int]]:
+    """(balls, ball, moves, closing, closers) over the orbit of the start
+    under the spec's sorted alphabet, state 0 being the start: ball(i) builds
+    state i's closed radius-1 ball in the orbit (the start only in its own)
+    into balls[i], None until then; moves[i] holds (t, push_top(t, ·)) of
+    state i per t, closing[i] the push that returns it to the start, 0 if
+    none, and closers the states with a closing push, in alphabet order."""
     alphabet, metric, kendall = spec.allowed_transitions, spec.metric, spec.metric == "kendall"
     # A state is its byte form (perm_core.form), which a push steps in C: a
     # value map on a Kendall form, three slices joined on a Chebyshev word.
@@ -142,24 +158,34 @@ def _build_tables(spec: SearchSpec) -> tuple[
     # t pushes s[1:t] + s[:1] + s[t:] to s, and no other state; it is in the
     # orbit, because t applied t-1 times to s gives it.
     s = spec.start
+    closers = [index[form(metric, s[1:t] + s[:1] + s[t:])] for t in alphabet]
     closing = [0] * len(forms)
-    for t in alphabet:
-        closing[index[form(metric, s[1:t] + s[:1] + s[t:])]] = t
-    return balls, ball, moves, closing
+    for t, c in zip(alphabet, closers):
+        closing[c] = t
+    return balls, ball, moves, closing, closers
 
 
 def longest_snake(spec: SearchSpec) -> SearchResult:
     """Largest snake satisfying spec; deterministic.
 
     proven_optimal is True when every branch ran to exhaustion within budget
-    or the best size equals the metric's upper bound (see module docstring
-    for what exhaustion certifies under each metric).
+    or the best size equals the metric's upper bound.  Exhaustion certifies a
+    global optimum under Kendall, and under Chebyshev only an optimum among
+    codes through spec.start: n=5 pushes {2,5} gives 5 from the identity
+    but 14 from (1,2,3,5,4), both exhaustive.
     """
-    balls, ball, all_moves, closing = _build_tables(spec)
+    balls, ball, all_moves, closing, closers = _build_tables(spec)
     bound = trivial_upper(spec.n) if spec.metric == "kendall" else linf_upper(spec.n)
     cyclic, alphabet, budget = spec.cyclic, spec.allowed_transitions, spec.node_budget
     # A cyclic Kendall branch keeps to pushes >= its first (module docstring).
     split_on_min = spec.metric == "kendall" and cyclic
+    # touches[s] is set where s's ball holds a closer: only placing such a
+    # state blocks one, and s is in a closer's ball exactly when the closer
+    # is in s's.  An open search closes nothing and leaves touches clear.
+    touches = bytearray(len(balls))
+    for c in closers if cyclic else ():
+        for u in balls[c] or ball(c):
+            touches[u] = 1
     # (size, transitions, with the closing push for cyclic codes) of the
     # largest code so far; a code replaces it only if larger
     best_size, best_trans = (0, None) if cyclic else (1, ())
@@ -174,10 +200,17 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
         # the branch pushes, and closes its code, only with least and above
         offset = f if split_on_min else 0
         least = alphabet[offset]
+        floor = least if cyclic else 0
         moves = all_moves if offset == 0 else [mv[offset:] for mv in all_moves]
         blocked = [0] * len(balls)
         for u in balls[0] or ball(0):
             blocked[u] += 1
+        # The counters of the closers the branch may close at, a tuple even
+        # for one closer; a cyclic branch none of whose closers is free
+        # cannot close anywhere.
+        free_closers = itemgetter(*closers[offset:], closers[-1])
+        if cyclic and 0 not in free_closers(blocked):
+            continue
         # One entry (state, the push that reached it, the untried siblings)
         # per placed state; children iterates the top state's untried pushes.
         stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
@@ -200,15 +233,20 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
             for u in balls[nxt] or ball(nxt):
                 blocked[u] += 1
             stack.append((nxt, t, children))
-            children = iter(moves[nxt])
             # the code through the placed states has len(stack) + 1 codewords
-            if len(stack) >= best_size and (closing[nxt] >= least or not cyclic):
+            if closing[nxt] >= floor and len(stack) >= best_size:
                 best_size = len(stack) + 1
                 best_trans = tuple(entry[1] for entry in stack)
                 if cyclic:
                     best_trans += (closing[nxt],)
                 if best_size >= bound:
                     break
+            # Counters only rise below a node, so once no closer is free no
+            # code below it closes: a cyclic search does not expand it.
+            if touches[nxt] and 0 not in free_closers(blocked):
+                children = iter(())
+            else:
+                children = iter(moves[nxt])
 
     code = None
     if best_trans is not None:

@@ -178,6 +178,28 @@ def test_search_output_and_orbit_note(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, out, note",
+    [
+        (["--transitions", "2,5"], '{"size":5,"proven_optimal":true,"nodes":64,',
+         "size 5 (optimal through the start)"),
+        (["--transitions", "2,5", "--start", "[1,2,3,5,4]"],
+         '{"size":14,"proven_optimal":true,"nodes":127,', "size 14 (optimal through the start)"),
+        # 30 = 5!/4 meets the Chebyshev bound, which holds for every start
+        ([], '{"size":30,"proven_optimal":true,"nodes":32902,', "size 30 (proven optimal)"),
+    ],
+    ids=["identity", "start12354", "at_the_bound"],
+)
+def test_search_note_scopes_a_chebyshev_proof(capsys, argv, out, note):
+    # Chebyshev distance changes when values are relabelled, so an exhausted
+    # search below the bound proves optimality only among codes through the
+    # start; the stdout JSON does not say so and keeps its form.
+    assert run(["search", "--n", "5", "--metric", "linf", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(out)
+    assert f"longest linf snake found: {note}, " in captured.err
+
+
 def test_search_budget_flag(capsys):
     assert run(
         ["search", "--n", "5", "--metric", "linf", "--budget", "1000"]
@@ -412,7 +434,7 @@ def test_repeated_runs_share_one_parser(capsys):
     assert outputs[0] == outputs[4]
     assert outputs[1] == outputs[3]
     assert outputs[1].out == "14\n"
-    assert outputs[0].out.startswith('{"size":8,"proven_optimal":true,"nodes":20,')
+    assert outputs[0].out.startswith('{"size":8,"proven_optimal":true,"nodes":13,')
     assert "invalid choice: 'chebyshev'" in outputs[2].err
     assert build_parser() is build_parser()
 

@@ -2,13 +2,14 @@
 
 import dataclasses
 import hashlib
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
 from permsnake.code_model import verify_snake
-from permsnake.perm_core import push_top
+from permsnake.perm_core import kendall_distance, linf_distance, push_top
 from permsnake.search import (
     MAX_EXHAUSTIVE_N,
     MAX_SEARCH_N,
@@ -23,7 +24,7 @@ def test_longest_snake_small_kendall_cases():
     assert (r3.size, r3.proven_optimal) == (3, True)
     r4 = longest_snake(SearchSpec(n=4, metric="kendall"))
     assert (r4.size, r4.proven_optimal) == (8, True)
-    assert r4.nodes == 20
+    assert r4.nodes == 13
     assert verify_snake(r4.best, "kendall").valid
 
 
@@ -94,7 +95,7 @@ def test_search_stops_at_the_metric_bound():
     # Branch t_2 ends at once, branch t_3 reaches 5!/4 = 30 and stops, and
     # the branches t_4 and t_5 are skipped.
     r = longest_snake(SearchSpec(n=5, metric="linf"))
-    assert (r.size, r.proven_optimal, r.nodes) == (30, True, 43199)
+    assert (r.size, r.proven_optimal, r.nodes) == (30, True, 32902)
     assert verify_snake(r.best, "linf").valid
 
 
@@ -144,19 +145,29 @@ def _orbit_size(spec):
 PINNED = [
     (
         SearchSpec(n=6, metric="kendall", node_budget=50000),
-        32, 37505, False,
-        "33434345334343453343434533434345",
+        180, 37505, False,
+        "334343453343434533434345334343633434345334343453343434633434345334343453"
+        "343434633434533434345345344553343436334343453343435334463343434533434663"
+        "343633443533456454343645533453344665",
     ),
     (
         SearchSpec(n=6, metric="linf", allowed_transitions=(5, 6), node_budget=20000),
         90, 412, True,
         "555565565655565565655565666565655665665565656565665565656565566565566665666566655666655666",
     ),
-    (SearchSpec(n=7, metric="linf", node_budget=20000), 3, 20000, False, "333"),
+    (
+        SearchSpec(n=7, metric="linf", node_budget=20000),
+        322, 20000, False,
+        "424252326232524232632423253372324336324345232433724325232463342352353342"
+        "372353342432432526232523242326325324324326253242625334232742432633523243"
+        "372324335232434252324342523263425243252324624262424343625244237237334243"
+        "352627425335267336232733426335325232442344253373627324232742436334252447"
+        "3372743366345437347723463364324377",
+    ),
     (
         SearchSpec(n=5, metric="linf", node_budget=2000),
-        20, 2000, False,
-        "33425253545453543355",
+        24, 2000, False,
+        "334253353435335335543355",
     ),
     (
         SearchSpec(
@@ -198,8 +209,8 @@ def test_pinned_search_results(spec, size, nodes, proven, transitions):
          "7c530fc4645ecf43ff96aa991b9806564a9d99dd37131195ffc8bc33c468b49c"),
         (SearchSpec(n=8, metric="kendall", node_budget=20000), 2749, 16674, False, 40320,
          "87fd803b7e3be4505d4cc59710a4914e82a6271ab1061244fa375410f6fce703"),
-        (SearchSpec(n=8, metric="linf", node_budget=20000), 1470, 20000, False, 40320,
-         "3fd0530799d1ba884233adf7127cdefed1dd3674033e12a3349434b0780efd71"),
+        (SearchSpec(n=8, metric="linf", node_budget=20000), 1551, 20000, False, 40320,
+         "e1d60c8104f7721f0c6ad5187107aa6b0fa7881ad4f4086320ebd178abefe644"),
     ],
     ids=["kendall7_p357_b20000", "kendall8_b20000", "linf8_b20000"],
 )
@@ -281,3 +292,68 @@ def test_odd_push_kendall_balls_hold_only_their_centre():
     balls, ball = _build_tables(SearchSpec(n=5, metric="kendall", allowed_transitions=(3, 5)))[:2]
     assert len(balls) == 60
     assert all(ball(i) == (i,) for i in range(len(balls)))
+
+
+def _oracle(spec):
+    """(size, transitions) of the first largest code by a plain depth-first
+    search: each candidate is checked against every codeword so far with the
+    metric's distance, and pushes are tried in ascending order.  No tables,
+    balls, branch split or budget shares, so it shares no logic with
+    longest_snake beyond push_top and the metrics."""
+    distance = kendall_distance if spec.metric == "kendall" else linf_distance
+    words, path = [spec.start], []
+    best = (0, None) if spec.cyclic else (1, ())
+
+    def extend():
+        nonlocal best
+        for t in spec.allowed_transitions:
+            nxt = push_top(t, words[-1])
+            if nxt == spec.start:
+                if spec.cyclic and len(words) > best[0]:
+                    best = (len(words), (*path, t))
+            elif all(distance(nxt, w) >= 2 for w in reversed(words)):
+                words.append(nxt)
+                path.append(t)
+                if not spec.cyclic and len(words) > best[0]:
+                    best = (len(words), tuple(path))
+                extend()
+                words.pop()
+                path.pop()
+
+    extend()
+    return best
+
+
+def _oracle_cases():
+    for start, k, metric, cyclic in itertools.product(
+            ((1, 2, 3), (1, 3, 2), (1, 2, 3, 4), (2, 4, 1, 3)), (1, 2, 3),
+            ("kendall", "linf"), (True, False)):
+        for alphabet in itertools.combinations(range(2, len(start) + 1), k):
+            yield SearchSpec(len(start), metric, cyclic, alphabet, start)
+    # n = 5: the alphabets whose plain search ends within about a second
+    for k, metric, cyclic in itertools.product((1, 2), ("kendall", "linf"), (True, False)):
+        for alphabet in itertools.combinations(range(2, 6), k):
+            if (metric, alphabet) != ("kendall", (3, 5)):
+                yield SearchSpec(5, metric, cyclic, alphabet)
+    for metric, alphabet in (("kendall", (2, 3, 4)), ("kendall", (2, 4, 5)), ("linf", (2, 3, 4)),
+                             ("linf", (2, 3, 5)), ("linf", (2, 4, 5))):
+        yield SearchSpec(5, metric, True, alphabet)
+    # Chebyshev optima depend on the start: pushes {2,5} close 14 codewords
+    # from (1,2,3,5,4) but 5 from the identity
+    for alphabet in ((2, 4), (3, 4), (2, 5)):
+        yield SearchSpec(5, "linf", True, alphabet, start=(1, 2, 3, 5, 4))
+    yield SearchSpec(5, "linf", False, (2, 3, 5), start=(1, 3, 4, 2, 5))
+
+
+def _oracle_id(spec):
+    cyclic = "cyclic" if spec.cyclic else "open"
+    alphabet = "".join(map(str, spec.allowed_transitions))
+    return f"{spec.metric}{spec.n}_{cyclic}_p{alphabet}_{''.join(map(str, spec.start))}"
+
+
+@pytest.mark.parametrize("spec", _oracle_cases(), ids=_oracle_id)
+def test_exhaustive_search_agrees_with_a_plain_search(spec):
+    r = longest_snake(spec)
+    assert r.proven_optimal
+    assert (r.size, None if r.best is None else r.best.transitions) == _oracle(spec)
+
