@@ -15,27 +15,32 @@ with one odd push each, following a complete order-p rotation code; sizes are
 p! * (q + (q-1)!): 6, 18, 30, 120, 240, 1200, 3480 for n = 4..10.  The
 even-top variant swaps the roles (strictly smaller for odd n).
 
-rank_inf / unrank_inf index the default variant without expanding it; rank
-0 is the stored start, and rank_inf raises ValueError on every permutation
-outside the code.  It needs no unrank to confirm a rank: a codeword holds the
-q even values either in positions 0..q around one odd value, in the block's
-rotation order (ascending, or 4, 2, 6, ... in odd-numbered blocks), or in
-positions 0..q-1 ending with 2q.  rank_inf checks exactly that, so the
-remaining positions hold the odd values.  The odd arrangement and the
-leading evens are ranked and unranked through one table per order m = p and
-m = q-1 (_arrangements, built on first use): the complete code
-build_rmgc(m) expanded by code_model.word_ranks, whose keys list the
-permutations of [m] in rank order.  successor_inf is the push at
-rank_inf(sigma), read from the block layout, so it raises on exactly the
-words rank_inf rejects.
+rank_inf, unrank_inf and successor_inf index the default variant without
+expanding it, through one table per length (_layout), built on first use
+from the order-p and order-(q-1) complete codes of build_rmgc and the block
+pushes.  Cut a codeword after position q+1.  The tail is the block's odd
+arrangement without its first value.  The head holds the q even values and
+that first odd value: the evens in the block's rotation order (ascending, or
+4, 2, 6, ... in odd-numbered blocks) around the odd value, or first, in the
+order of the complete code over q-1 values (2 and 4 swapped likewise),
+ending with 2q, and then the odd value.  The table keeps, keyed by those raw
+values, each block's heads in rank order with its tail, and for each tail
+its block's first rank and the offset of each of the block's heads; and the
+code's pushes in rank order.  So rank_inf is two dict lookups, and it raises
+ValueError on every permutation outside the code: a tail that is a key holds
+p-1 odd values, which leaves the evens and the block's first odd value to
+the head, and the head must then be one of its block's.  unrank_inf joins a
+stored head and tail, and successor_inf reads the push at rank_inf(sigma),
+so it raises on exactly the words rank_inf rejects.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from typing import NamedTuple
 
-from .code_model import GrayCode, verify_snake, word_ranks
+from .code_model import GrayCode, expand, verify_snake
 from .perm_core import Perm, check_perm
 from .rmgc import build_rmgc
 
@@ -113,15 +118,36 @@ def build_linf_snake(n: int, variant: str = "odd-top") -> GrayCode:
     return code
 
 
-def _swap12(t: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(2 if v == 1 else 1 if v == 2 else v for v in t)
+class _Layout(NamedTuple):
+    """The enumeration table of build_linf_snake(n), keyed by raw values."""
+
+    blk: int  # codewords per block
+    blocks: tuple[tuple[tuple[Perm, ...], Perm], ...]  # per block: heads in rank order, tail
+    tails: dict[Perm, tuple[int, dict[Perm, int]]]  # per tail: block's first rank, head offsets
+    pushes: tuple[int, ...]  # the code's pushes in rank order
 
 
-def _split(sigma: Perm) -> tuple[int, int, int]:
-    n = len(sigma)
-    if not MIN_LINF_N <= n <= MAX_LINF_N:
-        raise ValueError(f"length must be in {MIN_LINF_N}..{MAX_LINF_N}, got {n}")
-    return n, (n + 1) // 2, n // 2
+@lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    p, q = (n + 1) // 2, n // 2
+    blk = q + factorial(q - 1)
+    evens = tuple(range(2, 2 * q + 1, 2))
+    kinds = {}  # (block parity, first odd value) -> the heads in rank order, their offsets
+    blocks, tails = [], {}
+    for b, w in enumerate(expand(build_rmgc(p))):
+        odds = tuple(2 * v - 1 for v in w)
+        kind = (b % 2, odds[0])
+        if kind not in kinds:
+            rot = evens[1::-1] + evens[2:] if b % 2 and q > 2 else evens
+            heads = tuple(rot[q - r :] + odds[:1] + rot[: q - r] for r in range(q))
+            heads += tuple(tuple(rot[v - 1] for v in u) + (2 * q, odds[0])
+                           for u in expand(build_rmgc(q - 1)))
+            kinds[kind] = heads, {h: r for r, h in enumerate(heads)}
+        heads, offsets = kinds[kind]
+        blocks.append((heads, odds[1:]))
+        tails[odds[1:]] = b * blk, offsets
+    pushes = _assemble(n, tuple(range(1, n + 1, 2)), evens).transitions
+    return _Layout(blk, tuple(blocks), tails, pushes)
 
 
 def successor_inf(sigma: Perm) -> int:
@@ -130,54 +156,7 @@ def successor_inf(sigma: Perm) -> int:
     Raises ValueError when sigma is not a codeword, as rank_inf does.
     """
     r = rank_inf(sigma)
-    p, q = (len(sigma) + 1) // 2, len(sigma) // 2
-    block = _block(q)
-    r_block, off = divmod(r, len(block) + 1)
-    if off < len(block):
-        return block[off]
-    return q + build_rmgc(p).transitions[r_block]
-
-
-@lru_cache(maxsize=None)
-def _arrangements(m: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
-    """The permutations of [m] in the order of build_rmgc(m), and the rank
-    of each."""
-    ranks = word_ranks(build_rmgc(m))
-    return tuple(ranks), ranks
-
-
-@lru_cache(maxsize=None)
-def _evens(q: int, odd_block: bool) -> tuple[int, ...]:
-    """The even values in the order a block rotates them: ascending, or
-    (4, 2, 6, ...) in the odd-numbered blocks when q > 2."""
-    a = tuple(range(2, 2 * q + 1, 2))
-    return a[1::-1] + a[2:] if odd_block and q > 2 else a
-
-
-def _rank_inf_raw(sigma: Perm, p: int, q: int) -> int:
-    """Rank of sigma; raises KeyError or ValueError when sigma is not a
-    codeword.  Each phase checks where the even values sit, which leaves only
-    odd values in the other positions, so the odd arrangement needs no check
-    of its own."""
-    blk = q + factorial(q - 1)
-    odd_ranks = _arrangements(p)[1]
-    if sigma[q] % 2 == 0:
-        idx = next(i for i, v in enumerate(sigma) if v % 2 == 1)
-        odd_seq = ((sigma[idx] + 1) // 2,) + tuple(
-            (v + 1) // 2 for v in sigma[q + 1 :]
-        )
-        r_block = odd_ranks[odd_seq]
-        if sigma[idx + 1 : q + 1] + sigma[:idx] != _evens(q, r_block % 2 == 1):
-            raise ValueError("the even values are not a block rotation")
-        return idx + blk * r_block
-    if sigma[q - 1] != 2 * q or any(v % 2 for v in sigma[: q - 1]):
-        raise ValueError("the even values do not lead the word")
-    odd_half = tuple((v + 1) // 2 for v in sigma[q:])
-    r_block = odd_ranks[odd_half]
-    prefix = tuple(v // 2 for v in sigma[: q - 1])
-    if q > 2 and r_block % 2 == 1:
-        prefix = _swap12(prefix)
-    return q + blk * r_block + _arrangements(q - 1)[1][prefix]
+    return _layout(len(sigma)).pushes[r]
 
 
 def rank_inf(sigma: Perm) -> int:
@@ -186,10 +165,14 @@ def rank_inf(sigma: Perm) -> int:
     Raises ValueError when sigma is not one of the codewords.
     """
     sigma = check_perm(sigma)
-    n, p, q = _split(sigma)
+    n = len(sigma)
+    if not MIN_LINF_N <= n <= MAX_LINF_N:
+        raise ValueError(f"length must be in {MIN_LINF_N}..{MAX_LINF_N}, got {n}")
+    cut = n // 2 + 1
     try:
-        return _rank_inf_raw(sigma, p, q)
-    except (KeyError, ValueError):
+        first, offsets = _layout(n).tails[sigma[cut:]]
+        return first + offsets[sigma[:cut]]
+    except KeyError:
         raise ValueError(
             f"{sigma} is not a codeword of the length-{n} code"
         ) from None
@@ -199,20 +182,10 @@ def unrank_inf(n: int, k: int) -> Perm:
     """Codeword at rank k of build_linf_snake(n); inverse of rank_inf."""
     if not MIN_LINF_N <= n <= MAX_LINF_N:
         raise ValueError(f"n must be in {MIN_LINF_N}..{MAX_LINF_N}, got {n}")
-    p = (n + 1) // 2
-    q = n // 2
-    blk = q + factorial(q - 1)
-    total = factorial(p) * blk
+    t = _layout(n)
+    total = len(t.pushes)
     if not 0 <= k < total:
         raise ValueError(f"rank {k} out of range 0..{total - 1}")
-    r_block, r = divmod(k, blk)
-    odd_head = _arrangements(p)[0][r_block]
-    odds = tuple(2 * v - 1 for v in odd_head)
-    a = _evens(q, r_block % 2 == 1)
-    if r < q:
-        return a[q - r :] + (odds[0],) + a[: q - r] + odds[1:]
-    prefix = _arrangements(q - 1)[0][r - q]
-    if q > 2 and r_block % 2 == 1:
-        prefix = _swap12(prefix)
-    evens = tuple(2 * v for v in prefix) + (2 * q,)
-    return evens + odds
+    b, r = divmod(k, t.blk)
+    heads, tail = t.blocks[b]
+    return heads[r] + tail

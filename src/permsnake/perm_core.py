@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from operator import countOf
 
 Perm = tuple[int, ...]
 
@@ -50,11 +51,20 @@ def identity(n: int) -> Perm:
     return tuple(range(1, n + 1))
 
 
+_RANGES = [list(range(1, n + 1)) for n in range(MAX_N + 1)]
+
+
 def check_perm(sigma: Perm) -> Perm:
     """Return sigma as a tuple, raising ValueError unless it is a permutation
-    of [n] for some 1 <= n <= MAX_N."""
+    of [n] for some 1 <= n <= MAX_N whose entries are all of type int (True
+    and 2.0 compare equal to 1 and 2, but are refused).
+
+    >>> check_perm([2, 1, 3])
+    (2, 1, 3)
+    """
     t = tuple(sigma)
-    if not (1 <= len(t) <= MAX_N and sorted(t) == list(range(1, len(t) + 1))):
+    n = len(t)
+    if not (1 <= n <= MAX_N and countOf(map(type, t), int) == n and sorted(t) == _RANGES[n]):
         raise ValueError(f"not a permutation of 1..n (n <= {MAX_N}): {sigma!r}")
     return t
 

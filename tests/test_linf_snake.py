@@ -115,7 +115,7 @@ def test_successor_walks_the_whole_cycle(n):
         assert push_top(t, w) == words[(r + 1) % M]
 
 
-@pytest.mark.parametrize("n", range(MIN_LINF_N, 9))
+@pytest.mark.parametrize("n", range(MIN_LINF_N, MAX_LINF_N + 1))
 def test_rank_and_unrank_are_mutually_inverse(n):
     words = expand(build_linf_snake(n))
     for r, w in enumerate(words):
@@ -172,10 +172,33 @@ def test_rank_is_exact_without_unranking(monkeypatch):
 
 
 def test_unrank_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        unrank_inf(4, 6)
-    with pytest.raises(ValueError):
-        unrank_inf(4, -1)
+    for k in (6, -1):
+        with pytest.raises(ValueError, match=rf"^rank {k} out of range 0\.\.5$"):
+            unrank_inf(4, k)
+    with pytest.raises(ValueError, match=r"^rank 3480 out of range 0\.\.3479$"):
+        unrank_inf(10, 3480)
+    for n in (MIN_LINF_N - 1, MAX_LINF_N + 1):
+        with pytest.raises(ValueError, match=rf"^n must be in 4\.\.10, got {n}$"):
+            unrank_inf(n, 0)
+
+
+@pytest.mark.parametrize("f", [rank_inf, successor_inf])
+def test_rank_refuses_lengths_without_a_code(f):
+    for sigma in ((2, 1, 3), tuple(range(1, MAX_LINF_N + 2))):
+        with pytest.raises(ValueError, match=rf"^length must be in 4\.\.10, got {len(sigma)}$"):
+            f(sigma)
+    # a non-permutation is refused as such before its length is looked at
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.n"):
+        f((1, 1, 2))
+
+
+@pytest.mark.parametrize("f, out", [(rank_inf, 0), (successor_inf, 3)])
+def test_rank_refuses_entries_that_only_equal_a_codeword(f, out):
+    # (1, 2, 4, 3) is the rank-0 codeword, and True == 1, 2.0 == 2
+    assert f((1, 2, 4, 3)) == out
+    for sigma in ((True, 2, 4, 3), (1.0, 2.0, 4.0, 3.0)):
+        with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.n"):
+            f(sigma)
 
 
 def test_block_boundaries_push_full_length():

@@ -1,6 +1,7 @@
 """Permutation primitives: pushes, sign, both metrics and their balls."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,16 @@ def test_identity_and_is_perm():
     for bad in ((1, 1, 2), (0, 1, 2), ()):
         with pytest.raises(ValueError):
             check_perm(bad)
+
+
+@pytest.mark.parametrize("bad", [(True, 2), (2, True), (1.0, 2.0, 4.0, 3.0), (1, "a", 3),
+                                 (1, 2, None)])
+def test_check_perm_refuses_entries_that_are_not_ints(bad):
+    # True == 1 and 2.0 == 2, so only the type tells these from a permutation;
+    # a str is refused with the same ValueError rather than a TypeError from sorting
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.n \(n <= 20\): "
+                       + re.escape(repr(bad)) + "$"):
+        check_perm(bad)
 
 
 def test_push_top_examples():
