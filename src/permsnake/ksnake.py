@@ -14,28 +14,42 @@ through sigma_0 = [1, a_c, 3, a_{c+1}, ..., a_{c+2n-2}], entered two steps in
 (at t_N t_3 sigma_0) and stitched to the next segment by a t_3.
 
 rank_k / unrank_k agree with build_ksnake's enumeration order, rank 0 at the
-stored start.  Up to degree 7 they read a table built on first use (_table:
-code_model.word_ranks of the code and its keys in rank order, 1,575
-codewords at degree 7).  Above it they follow the recursive structure down
-to degree 7 without expanding the code.  rank_k is exact: it raises
-ValueError on every permutation outside the code, the table's dict refusing
-whatever the recursion hands down that is not a degree-7 codeword.
-successor_k is the push at rank_k(sigma), read from the segment layout at
-every degree down to 3 (_push_at), so it raises on exactly the words rank_k
-rejects and works past build_ksnake's degree cap.  One normalization is
-baked in: the recursion's natural degree-3 origin is [2,3,1], while the
-stored degree-3 code starts at [1,2,3]; the subcode origin rank
-(_subcode_origin) is adjusted so that build_ksnake(5) and the recursion
-above it match the expansion exactly.  The recorded degree-5 checkpoints
-that pin that expansion live with the other recorded artifacts in
-permsnake.repro.
+stored start.  Segment j holds M_{N-2} rotation classes: the N rotations (t_N
+pushes) of [1, a_j] + up_j(reversed(w)), one class per degree N-2 codeword
+w, all of them codewords.  Up to degree 9 the functions read one table per
+degree (_layout), built on first use from the degree N-2 codewords, never
+from an expansion of the degree-N code.  It is keyed by the bytes of each
+class's rotation that starts with 1 (11,025 classes at degree 9) and gives
+the class's offset in its segment, which the key's a_j names; the keys in
+class order are the words unrank_k rotates, and the code's pushes are kept
+too.  So rank_k is one rotation and one dict lookup, unrank_k one stored
+word rotated, and successor_k the push stored at rank_k(sigma).  Above
+degree 9 all three follow the recursive structure down to degree 9 without
+expanding the code.
+
+rank_k is exact: it raises ValueError on every permutation outside the
+code, the table's dict refusing whatever the recursion hands down that is
+not a degree-9 codeword.  A hit counts only when every entry is an int
+(True would match 1), and check_perm's refusal is reached only after a
+miss, so a codeword pays for no separate permutation check.  successor_k
+raises on exactly the words rank_k rejects and works past build_ksnake's
+degree cap.  One normalization is baked in: the recursion's natural
+degree-3 origin is [2,3,1], while the stored degree-3 code starts at
+[1,2,3]; the subcode origin rank (_subcode_origin) is adjusted so that
+build_ksnake(5) and the recursion above it match the expansion exactly,
+and the degree-3 table (one class) is written out.  The recorded degree-5
+checkpoints that pin that expansion live with the other recorded artifacts
+in permsnake.repro.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
+from operator import countOf
+from typing import NamedTuple
 
-from .code_model import GrayCode, word_ranks
+from .code_model import GrayCode, _ranks
 from .perm_core import MAX_N, Perm, check_perm, identity, push_top, sign
 
 __all__ = [
@@ -48,9 +62,9 @@ __all__ = [
 
 MAX_KSNAKE_N = 9
 
-# The largest degree ranked from a table: 1,575 codewords.  Degree 9 would
-# hold 99,225.
-_MAX_TABLE_N = 7
+# The largest degree enumerated from a table: 11,025 rotation classes of the
+# 99,225 codewords, built from the 1,575 of degree 7.
+_MAX_TABLE_N = 9
 
 
 @lru_cache(maxsize=None)
@@ -79,17 +93,18 @@ def _subcode_origin(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _value_maps(n: int, j: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(down, up), indexed by value: up lifts the degree 2n-1 values into the
-    tail of the degree 2n+1 code at cycle offset j (1 to 3, 3 to a_{j+1}, and
-    a_s of order n-1 to a_{j-s-1}, indices mod 2n-1), down is its inverse on
-    those tail values (1 and a_j map to 0)."""
+def _value_maps(n: int, j: int) -> tuple[bytes, tuple[int, ...]]:
+    """(down, up): up, indexed by value, lifts the degree 2n-1 values into
+    the tail of the degree 2n+1 code at cycle offset j (1 to 3, 3 to
+    a_{j+1}, and a_s of order n-1 to a_{j-s-1}, indices mod 2n-1); down is
+    its inverse on those tail values as a bytes.translate table, sending
+    every other byte (1 and a_j among them) to 0."""
     a, L = _alphabet(n), 2 * n - 1
     up = (0, 3, a[j - 1], a[(j + 1) % L], *(a[(j + 2 - b) % L] for b in range(4, 2 * n)))
-    down = [0] * (2 * n + 2)
+    down = bytearray(256)
     for b in range(1, 2 * n):
         down[up[b]] = b
-    return tuple(down), up
+    return bytes(down), up
 
 
 @lru_cache(maxsize=None)
@@ -123,19 +138,45 @@ def build_ksnake(N: int) -> GrayCode:
     return GrayCode(n=N, start=start, transitions=tuple(segment) * (2 * n - 1), cyclic=True)
 
 
+class _Layout(NamedTuple):
+    """The enumeration table of build_ksnake(N), one entry per rotation class."""
+
+    m: int  # rotation classes per segment
+    span: int  # codewords per segment, N * m
+    firsts: tuple[int, ...]  # indexed by a_j, the first rank of segment j
+    classes: dict[bytes, int]  # per class, its rotation starting with 1 -> its offset
+    heads: tuple[bytes, ...]  # per class in class order, the word unrank_k rotates right
+    pushes: tuple[int, ...]  # the code's pushes in rank order
+
+
 @lru_cache(maxsize=None)
-def _table(N: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
-    """The degree-N codewords in rank order, and the rank of each."""
-    ranks = word_ranks(build_ksnake(N))
-    return tuple(ranks), ranks
+def _layout(N: int) -> _Layout:
+    if N == 3:  # one class, and the stored start is not the recursion's origin
+        return _Layout(1, 3, (0, 0, 0), {b"\1\2\3": 1}, (b"\3\1\2",), build_ksnake(3).transitions)
+    n = (N - 1) // 2
+    m = ksnake_size(N - 2)
+    origin = _subcode_origin(n)
+    # each degree N-2 codeword (its bytes, the Chebyshev form) reversed,
+    # behind N-1 and N, values it does not hold, which the lift turns into
+    # the head's 1 and a_j
+    tails = [bytes((N - 1, N)) + w[::-1] for w in _ranks(build_ksnake(N - 2), "linf")]
+    tails = tails[origin:] + tails[:origin]  # class r holds the subcode word of rank r + origin
+    offsets = list(range(-N - 1, N * (m - 1) - 1, N))  # class r's offset N * (r - 1) - 1
+    firsts = [0] * (N + 1)
+    classes = {}
+    for j, a in enumerate(_alphabet(n)):
+        firsts[a] = N * m * j
+        lift = bytes.maketrans(bytes(range(1, N + 1)), bytes(_value_maps(n, j)[1][1:] + (1, a)))
+        classes.update(zip(map(bytes.translate, tails, repeat(lift)), offsets))
+    return _Layout(m, N * m, tuple(firsts), classes, tuple(classes), build_ksnake(N).transitions)
 
 
 def _push_at(N: int, r: int) -> int:
-    """build_ksnake(N).transitions[r], from the segment layout: N repeated
-    N-2 times, then M_{N-2}-1 blocks (N+1-k, then N repeated N-1 times),
-    then 3, 3; block b's k is the degree N-2 push at its subcode rank."""
-    if N == 3:
-        return 3
+    """build_ksnake(N).transitions[r], from the segment layout above degree 9:
+    N repeated N-2 times, then M_{N-2}-1 blocks (N+1-k, then N repeated N-1
+    times), then 3, 3; block b's k is the degree N-2 push at its subcode rank."""
+    if N <= _MAX_TABLE_N:
+        return _layout(N).pushes[r]
     m = ksnake_size(N - 2)
     pos = r % (N * m) - (N - 2)
     if pos < 0:
@@ -149,7 +190,8 @@ def _push_at(N: int, r: int) -> int:
 
 
 def successor_k(n: int, sigma: Perm) -> int:
-    """Push index from codeword sigma to its cyclic successor, N = 2n+1.
+    """Push index from codeword sigma to its cyclic successor, N = 2n+1: the
+    push at rank_k(sigma), read from the table up to degree 9.
 
     Raises ValueError when sigma is not a codeword, as rank_k does.
     """
@@ -162,31 +204,41 @@ def successor_k(n: int, sigma: Perm) -> int:
 
 
 def rank_k(sigma: Perm) -> int:
-    """Rank of codeword sigma in build_ksnake's enumeration (0 at the start).
+    """Rank of codeword sigma in build_ksnake's enumeration (0 at the start):
+    up to degree 9 one lookup of its rotation starting with 1.
 
     Raises ValueError when sigma is not a codeword.
     """
-    sigma = check_perm(sigma)
-    N = len(sigma)
+    t = tuple(sigma)
+    N = len(t)
+    if N % 2 and 3 <= N <= MAX_N:
+        try:
+            r = _rank_k(bytes(t))
+        except (KeyError, ValueError, TypeError):
+            pass
+        else:
+            # the hit matched a codeword entry by entry; int entries make it that codeword
+            if countOf(map(type, t), int) == N:
+                return r
+    sigma = check_perm(t if iter(sigma) is sigma else sigma)  # an iterator is spent
     if N % 2 == 0 or N < 3:
         raise ValueError(f"degree must be odd and >= 3, got {N}")
-    try:
-        return _rank_k(sigma)
-    except (KeyError, ValueError):
-        raise ValueError(f"{sigma} is not a codeword of the degree-{N} code") from None
+    raise ValueError(f"{sigma} is not a codeword of the degree-{N} code")
 
 
-def _rank_k(sigma: Perm) -> int:
-    N = len(sigma)
+def _rank_k(word: bytes) -> int:
+    N = len(word)
+    i = word.index(1)
+    rot = word[i:] + word[:i]  # rot = (1, a_j, tail)
     if N <= _MAX_TABLE_N:
-        return _table(N)[1][sigma]
+        t = _layout(N)
+        off = t.classes[rot]  # a hit makes rot[1] some a_j
+        return t.firsts[rot[1]] + (off + (i - 1) % N) % t.span
     n = (N - 1) // 2
-    i = sigma.index(1)
-    rot = sigma[i:] + sigma[:i]  # rot = (1, a_j, tail)
     j = _alphabet(n).index(rot[1])
-    down = _value_maps(n, j)[0]
-    # down is one-to-one on the tail values, so sub is a permutation
-    sub = tuple(map(down.__getitem__, rot[:1:-1]))
+    # down is one-to-one on the tail values and sends every other byte to 0,
+    # which no codeword holds, so sub is a codeword only if rot is one
+    sub = rot[:1:-1].translate(_value_maps(n, j)[0])
     m_small = ksnake_size(N - 2)
     r = (_rank_k(sub) - _subcode_origin(n)) % m_small
     rn = (N * (r - 1) - 1 + ((i - 1) % N)) % (N * m_small)
@@ -197,13 +249,15 @@ def unrank_k(n: int, k: int) -> Perm:
     """Codeword at rank k of build_ksnake(2n+1); inverse of rank_k.
 
     Raises ValueError when 2n+1 is over perm_core.MAX_N, whose words rank_k
-    refuses, or k is out of range.
+    refuses, or k is not an int in range.
     """
     if n < 1:
         raise ValueError(f"order n must be >= 1, got {n}")
     N = 2 * n + 1
     if N > MAX_N:
         raise ValueError(f"degree N = {N} is over the permutation length cap {MAX_N}")
+    if type(k) is not int:
+        raise ValueError(f"rank must be an int, got {k!r}")
     size = ksnake_size(N)
     if not 0 <= k < size:
         raise ValueError(f"rank {k} out of range 0..{size - 1}")
@@ -212,14 +266,17 @@ def unrank_k(n: int, k: int) -> Perm:
 
 def _unrank_k(N: int, k: int) -> Perm:
     if N <= _MAX_TABLE_N:
-        return _table(N)[0][k]
-    n = (N - 1) // 2
-    m_small = ksnake_size(N - 2)
-    j, pos = divmod(k, N * m_small)
-    sub_rank = ((pos + 1) // N + 1 + _subcode_origin(n)) % m_small
-    up = _value_maps(n, j)[1]
-    sigma = (1, _alphabet(n)[j]) + tuple(
-        map(up.__getitem__, reversed(_unrank_k(N - 2, sub_rank)))
-    )
+        t = _layout(N)
+        j, pos = divmod(k, t.span)
+        sigma = tuple(t.heads[j * t.m + ((pos + 1) // N + 1) % t.m])
+    else:
+        n = (N - 1) // 2
+        m_small = ksnake_size(N - 2)
+        j, pos = divmod(k, N * m_small)
+        sub_rank = ((pos + 1) // N + 1 + _subcode_origin(n)) % m_small
+        up = _value_maps(n, j)[1]
+        sigma = (1, _alphabet(n)[j]) + tuple(
+            map(up.__getitem__, reversed(_unrank_k(N - 2, sub_rank)))
+        )
     shift = (pos + 2) % N  # that many t_N pushes: a right rotation
     return sigma[-shift:] + sigma[:-shift]

@@ -29,7 +29,9 @@ its block's first rank and the offset of each of the block's heads; and the
 code's pushes in rank order.  So rank_inf is two dict lookups, and it raises
 ValueError on every permutation outside the code: a tail that is a key holds
 p-1 odd values, which leaves the evens and the block's first odd value to
-the head, and the head must then be one of its block's.  unrank_inf joins a
+the head, and the head must then be one of its block's.  A hit counts only
+when every entry is an int (1.0 and True hash and compare like 1), and
+check_perm's refusal is reached only after a miss.  unrank_inf joins a
 stored head and tail, and successor_inf reads the push at rank_inf(sigma),
 so it raises on exactly the words rank_inf rejects.
 """
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
+from operator import countOf
 from typing import NamedTuple
 
 from .code_model import GrayCode, expand, verify_snake
@@ -164,24 +167,34 @@ def rank_inf(sigma: Perm) -> int:
 
     Raises ValueError when sigma is not one of the codewords.
     """
-    sigma = check_perm(sigma)
-    n = len(sigma)
+    t = tuple(sigma)
+    n = len(t)
+    if MIN_LINF_N <= n <= MAX_LINF_N:
+        cut = n // 2 + 1
+        try:
+            first, offsets = _layout(n).tails[t[cut:]]
+            r = first + offsets[t[:cut]]
+        except (KeyError, TypeError):
+            pass
+        else:
+            # the hit matched a codeword entry by entry; int entries make it that codeword
+            if countOf(map(type, t), int) == n:
+                return r
+    sigma = check_perm(t if iter(sigma) is sigma else sigma)  # an iterator is spent
     if not MIN_LINF_N <= n <= MAX_LINF_N:
         raise ValueError(f"length must be in {MIN_LINF_N}..{MAX_LINF_N}, got {n}")
-    cut = n // 2 + 1
-    try:
-        first, offsets = _layout(n).tails[sigma[cut:]]
-        return first + offsets[sigma[:cut]]
-    except KeyError:
-        raise ValueError(
-            f"{sigma} is not a codeword of the length-{n} code"
-        ) from None
+    raise ValueError(f"{sigma} is not a codeword of the length-{n} code")
 
 
 def unrank_inf(n: int, k: int) -> Perm:
-    """Codeword at rank k of build_linf_snake(n); inverse of rank_inf."""
+    """Codeword at rank k of build_linf_snake(n); inverse of rank_inf.
+
+    Raises ValueError unless k is an int in range.
+    """
     if not MIN_LINF_N <= n <= MAX_LINF_N:
         raise ValueError(f"n must be in {MIN_LINF_N}..{MAX_LINF_N}, got {n}")
+    if type(k) is not int:
+        raise ValueError(f"rank must be an int, got {k!r}")
     t = _layout(n)
     total = len(t.pushes)
     if not 0 <= k < total:

@@ -200,9 +200,8 @@ def _adjacent_swaps(w):
 
 
 def test_rank_refuses_adjacent_swaps_of_degree_nine_codewords():
-    # Ranks up to degree 7 come from a table; degree 9 runs the recursion
-    # above it.  An adjacent swap flips the sign, so no neighbour is a
-    # codeword.
+    # Degree 9 is the largest degree ranked from a table.  An adjacent swap
+    # flips the sign, so no neighbour is a codeword.
     rng = random.Random(9)
     for k in rng.sample(range(ksnake_size(9)), 2000):
         for p in _adjacent_swaps(unrank_k(4, k)):
@@ -251,7 +250,10 @@ def test_rank_on_random_degree_eleven_permutations():
 
 
 def test_cli_import_builds_no_rank_table():
-    probe = "import permsnake.cli, permsnake.ksnake as k; print(k._table.cache_info().currsize)"
+    probe = (
+        "import permsnake.cli, permsnake.ksnake as k, permsnake.linf_snake as l; "
+        "print(k._layout.cache_info().currsize, l._layout.cache_info().currsize)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env={"PYTHONPATH": str(Path(permsnake.__file__).parents[1])},
@@ -260,4 +262,62 @@ def test_cli_import_builds_no_rank_table():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.strip() == "0 0"
+
+
+def _refusal(f, *args):
+    with pytest.raises(ValueError) as info:
+        f(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("N", [3, 9, 11])
+def test_rank_refuses_entries_that_only_equal_a_codeword(N):
+    # True == 1 and 2.0 == 2, so each word below equals a codeword entry by
+    # entry; the lookup hits, and the entry types refuse it
+    n = (N - 1) // 2
+    w = unrank_k(n, 2)
+    assert rank_k(w) == 2
+    i = w.index(1)
+    for word in (w[:i] + (True,) + w[i + 1 :], w[:-1] + (float(w[-1]),), tuple(map(float, w))):
+        message = _refusal(rank_k, word)
+        assert message == f"not a permutation of 1..n (n <= 20): {word!r}"
+        assert _refusal(successor_k, n, word) == message
+
+
+def test_rank_refuses_a_degree_21_word_the_recursion_would_accept():
+    # one rotation class of the degree-21 code, lifted from a degree-19
+    # codeword: the recursion ranks it, and the length cap refuses it
+    from permsnake.ksnake import _rank_k, _value_maps
+
+    up = _value_maps(10, 0)[1]
+    word = (1, 2) + tuple(up[v] for v in reversed(unrank_k(9, 5)))
+    assert sorted(word) == list(range(1, 22))
+    assert isinstance(_rank_k(bytes(word)), int)
+    assert _refusal(rank_k, word) == f"not a permutation of 1..n (n <= 20): {word!r}"
+
+
+@pytest.mark.parametrize("N", [3, 5, 9, 11])
+def test_successor_refuses_exactly_the_words_rank_refuses(N):
+    n = (N - 1) // 2
+    w = unrank_k(n, 1)
+    # -1 stands where N was: an index -1 into a value table would read N's entry
+    bad = [w[:-1] + (N + 1,), tuple(-1 if v == N else v for v in w), w[:-1] + (300,),
+           w[:-1] + (None,), w[:-1] + ([1],), w[:-1] + w[:1]]
+    rng = random.Random(N)
+    words = [w, list(w), w[::-1], *_adjacent_swaps(w)]
+    words += [tuple(rng.sample(range(1, N + 1), N)) for _ in range(200)]
+    for word in bad + words:
+        try:
+            r = rank_k(word)
+        except ValueError as e:
+            assert _refusal(successor_k, n, word) == str(e)
+        else:
+            assert word not in bad
+            step = push_top(successor_k(n, word), tuple(word))
+            assert step == unrank_k(n, (r + 1) % ksnake_size(N))
+
+
+@pytest.mark.parametrize("k", [1.0, True, False, "1", None])
+def test_unrank_refuses_a_rank_that_is_not_an_int(k):
+    assert _refusal(unrank_k, 2, k) == f"rank must be an int, got {k!r}"

@@ -194,11 +194,22 @@ def test_rank_refuses_lengths_without_a_code(f):
 
 @pytest.mark.parametrize("f, out", [(rank_inf, 0), (successor_inf, 3)])
 def test_rank_refuses_entries_that_only_equal_a_codeword(f, out):
-    # (1, 2, 4, 3) is the rank-0 codeword, and True == 1, 2.0 == 2
+    # (1, 2, 4, 3) is the rank-0 codeword, and True == 1, 2.0 == 2: the
+    # lookup hits, and the entry types refuse the word
     assert f((1, 2, 4, 3)) == out
-    for sigma in ((True, 2, 4, 3), (1.0, 2.0, 4.0, 3.0)):
+    w = unrank_inf(10, 0)
+    i = w.index(1)
+    for sigma in ((True, 2, 4, 3), (1.0, 2.0, 4.0, 3.0), w[:i] + (True,) + w[i + 1 :],
+                  tuple(map(float, w)), w[:-1] + (float(w[-1]),)):
         with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.n"):
             f(sigma)
+
+
+@pytest.mark.parametrize("k", [1.0, True, False, "1", None])
+def test_unrank_refuses_a_rank_that_is_not_an_int(k):
+    with pytest.raises(ValueError) as info:
+        unrank_inf(4, k)
+    assert str(info.value) == f"rank must be an int, got {k!r}"
 
 
 def test_block_boundaries_push_full_length():
