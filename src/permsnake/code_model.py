@@ -63,6 +63,12 @@ class GrayCode:
     cyclic: bool
 
     def __post_init__(self) -> None:
+        # type() and not isinstance(), which would take True and False (bool)
+        if type(self.n) is not int or not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must be an integer in 1..{MAX_N}, got {self.n!r}")
+        for key in ("start", "transitions"):
+            if not set(map(type, getattr(self, key))) <= {int}:
+                raise ValueError(f"{key} must be a list of integers")
         check_perm(self.start)
         if len(self.start) != self.n:
             raise ValueError(f"start has length {len(self.start)}, expected n={self.n}")
@@ -234,18 +240,14 @@ def decode_code(text: str) -> tuple[GrayCode, Optional[str]]:
     missing = {"n", "start", "transitions", "cyclic"} - payload.keys()
     if missing:
         raise ValueError(f"code JSON missing keys: {sorted(missing)}")
-    # type() and not isinstance(), which would take JSON true and false (bool)
-    n = payload["n"]
-    if type(n) is not int or not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be an integer in 1..{MAX_N}, got {n!r}")
-    start, transitions = payload["start"], payload["transitions"]
-    if not isinstance(start, list) or not set(map(type, start)) <= {int}:
-        raise ValueError("start must be a list of integers")
-    if not isinstance(transitions, list) or not set(map(type, transitions)) <= {int}:
-        raise ValueError("transitions must be a list of integers")
+    # GrayCode checks the types of n and of the entries
+    for key in ("start", "transitions"):
+        if not isinstance(payload[key], list):
+            raise ValueError(f"{key} must be a list of integers")
     if not isinstance(payload["cyclic"], bool):
         raise ValueError("cyclic must be a boolean")
     metric = payload.get("metric")
     if metric is not None and metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    return GrayCode(n, tuple(start), tuple(transitions), payload["cyclic"]), metric
+    start, transitions = tuple(payload["start"]), tuple(payload["transitions"])
+    return GrayCode(payload["n"], start, transitions, payload["cyclic"]), metric

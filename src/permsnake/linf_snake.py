@@ -16,17 +16,16 @@ p! * (q + (q-1)!): 6, 18, 30, 120, 240, 1200, 3480 for n = 4..10.  The
 even-top variant swaps the roles (strictly smaller for odd n).
 
 rank_inf, unrank_inf and successor_inf index the default variant without
-expanding it, through one table per length (_layout), built on first use
-from the order-p and order-(q-1) complete codes of build_rmgc and the block
-pushes.  Cut a codeword after position q+1.  The tail is the block's odd
-arrangement without its first value.  The head holds the q even values and
-that first odd value: the evens in the block's rotation order (ascending, or
-4, 2, 6, ... in odd-numbered blocks) around the odd value, or first, in the
-order of the complete code over q-1 values (2 and 4 swapped likewise),
-ending with 2q, and then the odd value.  The table keeps, keyed by those raw
-values, each block's heads in rank order with its tail, and for each tail
-its block's first rank and the offset of each of the block's heads; and the
-code's pushes in rank order.  So rank_inf is two dict lookups, and it raises
+expanding it, through one table per length (_layout), built on first use.
+Cut a codeword after position q+1.  The tail is the block's odd arrangement
+without its first value; a block's pushes reach only the head positions, so
+it keeps its tail.  The table walks one block's pushes (_block) once from
+the identity on the q+1 head positions, and the code's pushes between blocks
+from its start, one block at a time; each distinct first head gets one heads
+tuple, that walk read through it, and one offset dict.  It keeps,
+keyed by raw values, each block's heads in rank order with its tail, and for
+each tail its block's first rank and its heads' offsets; and the code's
+pushes in rank order.  So rank_inf is two dict lookups, and it raises
 ValueError on every permutation outside the code: a tail that is a key holds
 p-1 odd values, which leaves the evens and the block's first odd value to
 the head, and the head must then be one of its block's.  A hit counts only
@@ -44,7 +43,7 @@ from operator import countOf
 from typing import NamedTuple
 
 from .code_model import GrayCode, expand, verify_snake
-from .perm_core import Perm, check_perm
+from .perm_core import Perm, check_perm, identity, push_top
 from .rmgc import build_rmgc
 
 __all__ = [
@@ -132,25 +131,24 @@ class _Layout(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _layout(n: int) -> _Layout:
-    p, q = (n + 1) // 2, n // 2
-    blk = q + factorial(q - 1)
-    evens = tuple(range(2, 2 * q + 1, 2))
-    kinds = {}  # (block parity, first odd value) -> the heads in rank order, their offsets
+    q = n // 2
+    # the arrangements one block walks on its q+1 head positions
+    walk = expand(GrayCode(q + 1, identity(q + 1), _block(q), cyclic=False))
+    blk = len(walk)
+    firsts = {}  # a block's first head -> its heads in rank order, their offsets
     blocks, tails = [], {}
-    for b, w in enumerate(expand(build_rmgc(p))):
-        odds = tuple(2 * v - 1 for v in w)
-        kind = (b % 2, odds[0])
-        if kind not in kinds:
-            rot = evens[1::-1] + evens[2:] if b % 2 and q > 2 else evens
-            heads = tuple(rot[q - r :] + odds[:1] + rot[: q - r] for r in range(q))
-            heads += tuple(tuple(rot[v - 1] for v in u) + (2 * q, odds[0])
-                           for u in expand(build_rmgc(q - 1)))
-            kinds[kind] = heads, {h: r for r, h in enumerate(heads)}
-        heads, offsets = kinds[kind]
-        blocks.append((heads, odds[1:]))
-        tails[odds[1:]] = b * blk, offsets
-    pushes = _assemble(n, tuple(range(1, n + 1, 2)), evens).transitions
-    return _Layout(blk, tuple(blocks), tails, pushes)
+    code = _assemble(n, tuple(range(1, n + 1, 2)), tuple(range(2, n + 1, 2)))
+    word = code.start
+    for b, glue in enumerate(code.transitions[blk - 1 :: blk]):  # the pushes between blocks
+        first, tail = word[: q + 1], word[q + 1 :]
+        if first not in firsts:
+            heads = tuple(tuple(first[v - 1] for v in u) for u in walk)
+            firsts[first] = heads, {h: r for r, h in enumerate(heads)}
+        heads, offsets = firsts[first]
+        blocks.append((heads, tail))
+        tails[tail] = b * blk, offsets
+        word = push_top(glue, heads[-1] + tail)
+    return _Layout(blk, tuple(blocks), tails, code.transitions)
 
 
 def successor_inf(sigma: Perm) -> int:
@@ -189,8 +187,10 @@ def rank_inf(sigma: Perm) -> int:
 def unrank_inf(n: int, k: int) -> Perm:
     """Codeword at rank k of build_linf_snake(n); inverse of rank_inf.
 
-    Raises ValueError unless k is an int in range.
+    Raises ValueError unless n and k are ints in range.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if not MIN_LINF_N <= n <= MAX_LINF_N:
         raise ValueError(f"n must be in {MIN_LINF_N}..{MAX_LINF_N}, got {n}")
     if type(k) is not int:

@@ -72,6 +72,8 @@ class SearchSpec:
     node_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if not 2 <= self.n <= MAX_SEARCH_N:
             raise ValueError(f"search supports 2 <= n <= {MAX_SEARCH_N}, got {self.n}")
         if self.metric not in ("kendall", "linf"):
@@ -91,6 +93,8 @@ class SearchSpec:
         if len(start) != self.n:
             raise ValueError(f"start {start} has length {len(start)}, but n is {self.n}")
         object.__setattr__(self, "start", start)
+        if self.node_budget is not None and type(self.node_budget) is not int:
+            raise ValueError(f"node_budget must be an int, got {self.node_budget!r}")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError(f"node_budget must be positive, got {self.node_budget}")
         if self.node_budget is None and self.n > MAX_EXHAUSTIVE_N:

@@ -217,6 +217,32 @@ def test_encode_decode_byte_round_trip():
     assert json.loads(line)["transitions"] == [3, 3, 3]
 
 
+@pytest.mark.parametrize("n, start, transitions, text", [
+    (3.0, (1, 2, 3), (3, 3, 3), "n must be an integer in 1..20, got 3.0"),
+    (True, (1,), (2,), "n must be an integer in 1..20, got True"),
+    (3, (1, 2.0, 3), (3, 3, 3), "start must be a list of integers"),
+    (3, (1, 2, 3), (3.0, 3, 3), "transitions must be a list of integers"),
+    (3, (1, 2, 3), (3, True, 3), "transitions must be a list of integers"),
+])
+def test_gray_code_refuses_entries_that_are_not_ints(n, start, transitions, text):
+    with pytest.raises(ValueError) as info:
+        GrayCode(n, start, transitions, True)
+    assert str(info.value) == text
+
+
+@given(st.lists(st.one_of(st.integers(2, 4), st.floats(2, 4), st.booleans()), max_size=6))
+@settings(max_examples=100)
+def test_every_code_that_constructs_round_trips(transitions):
+    # a code accepted at construction encodes to a line that decodes to it
+    try:
+        code = GrayCode(4, (1, 2, 3, 4), tuple(transitions), False)
+    except ValueError:
+        return
+    line = encode_code(code, "linf")
+    assert decode_code(line) == (code, "linf")
+    assert encode_code(*decode_code(line)) == line
+
+
 def test_decode_malformed_inputs():
     with pytest.raises(ValueError, match="JSON"):
         decode_code("not json")

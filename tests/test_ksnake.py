@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import permsnake
+from permsnake import ksnake
 from permsnake.code_model import balance_gap, expand, verify_snake
 from permsnake import RECORDED_K5_CHECKPOINTS
 from permsnake.ksnake import (
@@ -106,9 +107,9 @@ def test_successor_walks_the_whole_cycle(N):
 
 @pytest.mark.parametrize("N", [11, 13, 19])
 def test_successor_steps_to_the_next_rank_past_the_build_cap(N):
-    # past MAX_KSNAKE_N no transition list exists to read; the layout
-    # recursion runs down to degree 3, so the samples take in the wrap and
-    # the edges of the first segments and of their subcode blocks
+    # past MAX_KSNAKE_N no transition list exists to read; the recursion
+    # stops at degree 9, so the samples take in the wrap and the edges of
+    # the first segments and of their subcode blocks
     n, size, M = (N - 1) // 2, ksnake_size(N), ksnake_size(N - 2)
     rng = random.Random(N)
     ranks = rng.sample(range(size), 200) + [size - 1] + [
@@ -117,6 +118,54 @@ def test_successor_steps_to_the_next_rank_past_the_build_cap(N):
     for k in ranks:
         w = unrank_k(n, k)
         assert push_top(successor_k(n, w), w) == unrank_k(n, (k + 1) % size)
+
+
+# Codewords and their pushes past MAX_KSNAKE_N at the edges of the first
+# segment, the start of the second, one rank inside and the last rank.
+PINNED_ABOVE_CAP = {
+    11: {
+        0: ((11, 3, 1, 2, 4, 5, 6, 7, 8, 9, 10), 11),
+        1: ((10, 11, 3, 1, 2, 4, 5, 6, 7, 8, 9), 11),
+        8: ((2, 4, 5, 6, 7, 8, 9, 10, 11, 3, 1), 11),
+        9: ((1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 3), 7),
+        1091473: ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11), 3),
+        1091474: ((3, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11), 3),
+        1091475: ((2, 3, 1, 4, 5, 6, 7, 8, 9, 10, 11), 11),
+        3274425: ((5, 3, 1, 6, 7, 8, 9, 10, 11, 2, 4), 11),
+        9823274: ((3, 1, 11, 2, 4, 5, 6, 7, 8, 9, 10), 3),
+    },
+    13: {
+        0: ((13, 3, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12), 13),
+        1: ((12, 13, 3, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11), 13),
+        10: ((2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 3, 1), 13),
+        11: ((1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 3), 7),
+        127702573: ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), 3),
+        127702574: ((3, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), 3),
+        127702575: ((2, 3, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13), 13),
+        468242775: ((10, 3, 1, 6, 7, 11, 12, 13, 2, 4, 5, 8, 9), 13),
+        1404728324: ((3, 1, 13, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12), 3),
+    },
+    19: {
+        0: ((19, 3, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18), 19),
+        1: ((18, 19, 3, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17), 19),
+        16: ((2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 3, 1), 19),
+        17: ((1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 3), 11),
+        1327152203251873: ((1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19), 3),
+        1327152203251874: ((3, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19), 3),
+        1327152203251875: ((2, 3, 1, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19), 19),
+        7520529151760625: ((14, 3, 1, 8, 9, 15, 16, 17, 18, 19, 2, 4, 5, 6, 7, 10, 11, 12, 13), 19),
+        22561587455281874: ((3, 1, 19, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18), 3),
+    },
+}
+
+
+@pytest.mark.parametrize("N", sorted(PINNED_ABOVE_CAP))
+def test_enumeration_past_the_build_cap_is_pinned(N):
+    n = (N - 1) // 2
+    for k, (word, push) in PINNED_ABOVE_CAP[N].items():
+        assert unrank_k(n, k) == word
+        assert rank_k(word) == k
+        assert successor_k(n, word) == push
 
 
 @pytest.mark.parametrize("N", [3, 5, 7, 9])
@@ -321,3 +370,16 @@ def test_successor_refuses_exactly_the_words_rank_refuses(N):
 @pytest.mark.parametrize("k", [1.0, True, False, "1", None])
 def test_unrank_refuses_a_rank_that_is_not_an_int(k):
     assert _refusal(unrank_k, 2, k) == f"rank must be an int, got {k!r}"
+
+
+@pytest.mark.parametrize("n", [2.0, True, False, "2", None])
+def test_an_order_that_is_not_an_int_is_refused_before_any_table(monkeypatch, n):
+    def no_table(*args):
+        raise AssertionError("a table was read")
+
+    for name in ("_layout", "build_ksnake", "ksnake_size"):
+        monkeypatch.setattr(ksnake, name, no_table)
+    text = f"order n must be an int, got {n!r}"
+    assert _refusal(unrank_k, n, 0) == text
+    assert _refusal(successor_k, n, (5, 3, 1, 2, 4)) == text
+    assert _refusal(successor_k, n, (1, 2, 3)) == text

@@ -230,3 +230,14 @@ def test_rejects_out_of_range_length():
         build_linf_snake(MAX_LINF_N + 1)
     with pytest.raises(ValueError):
         build_linf_snake(6, "sideways")
+
+
+@pytest.mark.parametrize("n", [4.0, True, "4", None])
+def test_unrank_refuses_a_length_that_is_not_an_int_before_any_table(monkeypatch, n):
+    def no_table(*args):
+        raise AssertionError("a table was read")
+
+    monkeypatch.setattr(linf_snake, "_layout", no_table)
+    with pytest.raises(ValueError) as info:
+        unrank_inf(n, 0)
+    assert str(info.value) == f"n must be an int, got {n!r}"

@@ -114,6 +114,15 @@ def test_search_spec_validation():
         SearchSpec(n=4, metric="kendall", start=(1, 2, 3))
     with pytest.raises(ValueError, match="node_budget must be positive, got 0"):
         SearchSpec(n=4, metric="kendall", node_budget=0)
+    # bool is an int subclass, and 5.0 == 5: both are refused by type
+    with pytest.raises(ValueError, match=r"^n must be an int, got 5\.0$"):
+        SearchSpec(n=5.0, metric="linf")
+    with pytest.raises(ValueError, match="^n must be an int, got True$"):
+        SearchSpec(n=True, metric="linf")
+    with pytest.raises(ValueError, match="^node_budget must be an int, got True$"):
+        SearchSpec(n=5, metric="linf", node_budget=True)
+    with pytest.raises(ValueError, match=r"^node_budget must be an int, got 10\.0$"):
+        SearchSpec(n=5, metric="linf", node_budget=10.0)
 
 
 def test_non_identity_start():
