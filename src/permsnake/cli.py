@@ -33,8 +33,8 @@ from .search import SearchSpec, longest_snake
 DEFAULT_NODE_BUDGET = 2_000_000
 
 # verify refuses larger codes without --force, so that no request runs long:
-# the 99,225 codewords of the degree-9 Kendall snake take 0.28-0.38 s wall
-# from the command line, import included (2-core machine, Python 3.11).
+# the 99,225 codewords of the degree-9 Kendall snake take 0.22-0.27 s wall
+# from the command line, import included (2-core machine, Python 3.11, 7 runs).
 VERIFY_CAP = 2000
 
 REPRO_TARGETS = tuple(REPRO_CHECKS)

@@ -9,9 +9,15 @@ verify_snake checks the strong snake property: every pair of distinct
 codewords must be at distance >= 2 in the chosen metric.  That holds exactly
 when no codeword's radius-1 ball holds another codeword.  One walk of the
 code indexes the codeword forms (perm_core.form) by rank, and a ball is a
-form translated by the value maps perm_core.ball_maps: one set test in C per
-codeword.  A plain pairwise loop remains as the test reference and as the
-fallback that finds the minimum distance of a snake with no pair at distance 2.
+form translated by the value maps perm_core.ball_maps.  Whether any pair is
+at distance 1 is decided first with a fraction of the ball lookups: under
+Kendall only the balls of the smaller parity class, none for a code of odd
+pushes; under Chebyshev the words meet in the middle of each ball map,
+14 translates per codeword at n = 8 and 19 at n = 9 against balls of 33 and
+54 (perm_core.meet_maps).  Only an invalid code is then tested word by
+word in rank order, up to the lowest violating pair.  A plain pairwise loop
+remains as the test reference and as the fallback that finds the minimum
+distance of a snake with no pair at distance 2.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import countOf, xor
 from typing import Optional
 
 from .perm_core import (
@@ -31,6 +38,7 @@ from .perm_core import (
     form,
     kendall_distance,
     linf_distance,
+    meet_maps,
     push_top,
 )
 
@@ -66,19 +74,24 @@ class GrayCode:
         # type() and not isinstance(), which would take True and False (bool)
         if type(self.n) is not int or not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must be an integer in 1..{MAX_N}, got {self.n!r}")
-        for key in ("start", "transitions"):
-            if not set(map(type, getattr(self, key))) <= {int}:
+        start, transitions = tuple(self.start), tuple(self.transitions)
+        for key, entries in (("start", start), ("transitions", transitions)):
+            if countOf(map(type, entries), int) != len(entries):
                 raise ValueError(f"{key} must be a list of integers")
-        check_perm(self.start)
-        if len(self.start) != self.n:
-            raise ValueError(f"start has length {len(self.start)}, expected n={self.n}")
-        if not set(self.transitions) <= set(range(2, self.n + 1)):
-            t = next(t for t in self.transitions if not 2 <= t <= self.n)
+        check_perm(start)
+        if len(start) != self.n:
+            raise ValueError(f"start has length {len(start)}, expected n={self.n}")
+        try:  # bytes() refuses an index outside 0..255
+            in_range = not bytes(transitions).translate(None, bytes(range(2, self.n + 1)))
+        except ValueError:
+            in_range = False
+        if not in_range:
+            t = next(t for t in transitions if not 2 <= t <= self.n)
             raise ValueError(f"transition index {t} out of range 2..{self.n}")
-        if self.cyclic and not self.transitions:
+        if self.cyclic and not transitions:
             raise ValueError("a cyclic code needs at least one transition")
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        object.__setattr__(self, "start", tuple(self.start))
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "start", start)
 
     @property
     def size(self) -> int:
@@ -153,23 +166,65 @@ def _verify_pairs(words: tuple[Perm, ...], metric: str) -> SnakeReport:
     return SnakeReport(True, metric, best, None)
 
 
-def _verify_words(index: dict[bytes, int], metric: str) -> SnakeReport:
-    """verify_snake on distinct words, as the rank of each keyed by its form.
+# a push t_k is a k-cycle, which flips the parity exactly when k is even
+_FLIPS = bytes(1 - t % 2 for t in range(256))
+_NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
-    A pair is at distance 1 exactly when one word lies in the other's ball,
-    so the first rank i whose ball holds a word, with the least such rank j,
-    is the lowest violating pair (j > i, or j would have turned up first).
-    One pair at distance 2 fixes a snake's minimum at 2.  The probe for one
-    translates every form by one distance-2 map at a time; the pairwise loop
-    runs when it finds none within as many lookups as there are pairs.
+
+def _first_neighbour(index: dict[bytes, int], metric: str, parities: bytes) -> Optional[bytes]:
+    """The first word in rank order, keyed by form, at distance 1 from
+    another word, or None.
+
+    A word is at distance 1 from another exactly when it is in images or
+    one of its translates by maps is in meet.  Under Kendall, meet holds
+    the words and maps is the ball; a ball map swaps two adjacent values,
+    so it links words of opposite parity, and the balls of the smaller
+    class alone tell whether there is such a pair at all (a code of odd
+    pushes alone has none to look up).  Under Chebyshev the pairs meet in
+    the middle (perm_core.meet_maps): meet holds the words and their high
+    images, at most 7 keys per codeword, images those high images that are
+    words, and maps the low maps.  Each map is tried on every word at once;
+    only when one finds a pair is each word tested in rank order.
+    """
+    n = len(next(iter(index)))
+    keys = index.keys()
+    if metric == "kendall":
+        if 2 * parities.count(1) > len(parities):
+            parities = parities.translate(_NOT)
+        words, maps = list(itertools.compress(index, parities)), ball_maps(metric, n)
+        meet, images = keys, ()
+    else:
+        high, maps = meet_maps(n)
+        meet = set()
+        for m in high:
+            meet.update(map(bytes.translate, index, itertools.repeat(m)))
+        images = meet.intersection(index)
+        meet.update(index)
+        words = index
+    if not images and all(
+        meet.isdisjoint(map(bytes.translate, words, itertools.repeat(m))) for m in maps
+    ):
+        return None
+    near = (f for f in index if f in images or not meet.isdisjoint(map(f.translate, maps)))
+    return next(near, None)
+
+
+def _verify_words(index: dict[bytes, int], metric: str, parities: bytes) -> SnakeReport:
+    """verify_snake on distinct words, as the rank of each keyed by its form;
+    parities[r] is the parity (0 or 1) of rank r, read under Kendall only.
+
+    The lowest violating pair is the least rank i at distance 1 from
+    another word, with the least rank j in its ball.  One pair at distance
+    2 fixes a snake's minimum at 2.  The probe for one translates every form
+    by one distance-2 map at a time; the pairwise loop runs when it finds
+    none within as many lookups as there are pairs.
     """
     keys = index.keys()
     n = len(next(iter(keys)))
-    maps = ball_maps(metric, n)
-    for i, f in enumerate(index):
-        if not keys.isdisjoint(map(f.translate, maps)):
-            j = min(index[g] for g in map(f.translate, maps) if g in keys)
-            return SnakeReport(False, metric, 1, (i, j))
+    f = _first_neighbour(index, metric, parities)
+    if f is not None:
+        j = min(index[g] for g in map(f.translate, ball_maps(metric, n)) if g in keys)
+        return SnakeReport(False, metric, 1, (index[f], j))
     budget = len(index) * (len(index) - 1) // 2
     for m in distance_two_maps(metric, n):
         budget -= len(index)
@@ -184,13 +239,18 @@ def verify_snake(code: GrayCode, metric: str) -> SnakeReport:
     """Check that every pair of distinct codewords is at distance >= 2.
 
     The report's witness, when present, is the lowest-rank violating pair,
-    and min_pairwise_distance of a valid code is the exact minimum.  The cost
-    is one lookup per radius-1 ball member of each codeword.  Raises
+    and min_pairwise_distance of a valid code is the exact minimum.  Each
+    rank's parity comes from the pushes, one accumulate over them.  Raises
     ValueError where expand does.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    return _verify_words(_ranks(code, metric), metric)
+    index = _ranks(code, metric)
+    parities = b""
+    if metric == "kendall":
+        steps = bytes(code.transitions[:-1] if code.cyclic else code.transitions)
+        parities = bytes(itertools.accumulate(steps.translate(_FLIPS), xor, initial=0))
+    return _verify_words(index, metric, parities)
 
 
 def balance_gap(code: GrayCode) -> int:

@@ -65,6 +65,8 @@ MAX_KSNAKE_N = 9
 @lru_cache(maxsize=None)
 def ksnake_size(N: int) -> int:
     """M_N: 3 for N = 3, else (N-2) * N * M_{N-2} (N odd, N >= 3)."""
+    if type(N) is not int:
+        raise ValueError(f"N must be an int, got {N!r}")
     if N < 3 or N % 2 == 0:
         raise ValueError(f"N must be odd and >= 3, got {N}")
     m = 3
@@ -111,6 +113,8 @@ def build_ksnake(N: int) -> GrayCode:
     Only the transition list is materialized (M_N integers); codewords come
     from code_model.expand on demand.  The first transition is t_N for N >= 5.
     """
+    if type(N) is not int:
+        raise ValueError(f"N must be an int, got {N!r}")
     if N % 2 == 0 or not 3 <= N <= MAX_KSNAKE_N:
         raise ValueError(f"N must be odd with 3 <= N <= {MAX_KSNAKE_N}, got {N}")
     if N == 3:

@@ -64,6 +64,8 @@ MAX_LINF_N = 10
 def linf_size(n: int, variant: str = "odd-top") -> int:
     """Codeword count of build_linf_snake(n, variant); the closed form holds
     beyond MAX_LINF_N too."""
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if n < MIN_LINF_N:
         raise ValueError(f"n must be >= {MIN_LINF_N}, got {n}")
     if variant not in VARIANTS:
@@ -100,6 +102,8 @@ def build_linf_snake(n: int, variant: str = "odd-top") -> GrayCode:
     The result is verified at build time (pairwise distance >= 2 over all
     codewords); construction bugs surface here, not downstream.
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if not MIN_LINF_N <= n <= MAX_LINF_N:
         raise ValueError(f"n must be in {MIN_LINF_N}..{MAX_LINF_N}, got {n}")
     if variant not in VARIANTS:

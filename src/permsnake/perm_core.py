@@ -10,7 +10,8 @@ Conventions used across the package:
 - n is capped at MAX_N = 20 so ranks and code sizes stay inside 64-bit range
   (20! < 2**62).
 - The closed radius-1 ball of sigma is sigma plus form(metric, sigma) translated
-  by each value map of ball_maps(metric, n); search and verify share it.
+  by each value map of ball_maps(metric, n); search and verify share it, and
+  meet_maps splits the Chebyshev one in two for verify.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ __all__ = [
     "identity",
     "kendall_distance",
     "linf_distance",
+    "meet_maps",
     "parse_perm",
     "push_top",
     "sign",
@@ -171,19 +173,21 @@ PUSH_MAPS = {t: bytes.maketrans(bytes(range(1, t + 1)), bytes((*range(2, t + 1),
              for t in range(2, MAX_N + 1)}
 
 
-def _moving(n: int, reach: int, images: Perm = (), used: int = 0) -> Iterator[bytes]:
-    """Lazily, the value maps of 1..n moving some value by reach and none by
-    more, that send 1, 2, ... to images, whose values are the bits of used."""
-    v = len(images) + 1
+def _moving(n: int, reach: int, images: Perm = (), used: int = 0,
+            first: int = 1) -> Iterator[bytes]:
+    """Lazily, the value maps of first..n moving some value by reach and none
+    by more, that send first, first+1, ... to images, whose values are the
+    bits of used."""
+    v = first + len(images)
     if v > n:
-        if any(abs(u - w) == reach for w, u in enumerate(images, 1)):
-            yield bytes.maketrans(bytes(range(1, n + 1)), bytes(images))
+        if any(abs(u - w) == reach for w, u in enumerate(images, first)):
+            yield bytes.maketrans(bytes(range(first, n + 1)), bytes(images))
         return
     low = v - reach  # no value above v reaches low, so v must if none has
-    forced = low > 0 and not used >> low & 1
-    for u in (low,) if forced else range(max(1, low), min(n, v + reach) + 1):
+    forced = low >= first and not used >> low & 1
+    for u in (low,) if forced else range(max(first, low), min(n, v + reach) + 1):
         if not used >> u & 1:
-            yield from _moving(n, reach, images + (u,), used | 1 << u)
+            yield from _moving(n, reach, images + (u,), used | 1 << u, first)
 
 
 @lru_cache(maxsize=None)
@@ -205,18 +209,68 @@ def ball_maps(metric: str, n: int) -> tuple[bytes, ...]:
     return tuple(_moving(n, 1))
 
 
-def distance_two_maps(metric: str, n: int) -> Iterator[bytes]:
-    """Lazily, maps as in ball_maps to each permutation at distance exactly 2
-    (10,412,815 Chebyshev ones at n = 20): the products of two Kendall ball
-    maps, or the maps that move some value by 2 and none by more.
+# sends 1..MAX_N above MAX_N, so a tagged word never equals an untagged one
+_TAG = bytes.maketrans(bytes(range(1, MAX_N + 1)), bytes(range(129, 129 + MAX_N)))
+
+
+@lru_cache(maxsize=None)
+def meet_maps(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """The Chebyshev ball at length n split at the value k = n - 4, as
+    (high, low) tables for a meet in the middle.  A ball map m is a
+    nonempty product of disjoint swaps of adjacent values, so either
+    m = l*h, l swapping values within 1..k and h within k+1..n, or
+    m = l*(k k+1)*h, l within 1..k-1 and h within k+2..n.  The parts commute
+    and are involutions, so b = m(a) exactly when l(b) = h(a), or
+    l(b) = (k k+1)*h(a).  high holds each h but the identity, then each
+    (k k+1)*h tagged (every value plus 128); low holds each l but the
+    identity, then each l of the second case tagged.  So a word is at
+    distance 1 from another exactly when it is the image of another under
+    some untagged high map, or one of its low images is a high image of
+    another or, untagged, another itself.
+
+    high has 7 tables: the high images of a code hold at most 7 keys per
+    codeword.  low has Fibonacci(n - 2) - 1: 7 at n = 8, 12 at n = 9 and
+    2,583 at n = 20, against ball sizes of 33, 54 and 10,945.  Splitting
+    lower would shorten low at large n, but each high image is kept, which
+    costs memory and more time than a lookup.  Below n = 7 the split saves
+    too little to pay for its set: high is empty and low is the ball.
+
+    >>> high, low = meet_maps(7)
+    >>> a, b = form("linf", (1, 2, 3, 4, 5, 6, 7)), form("linf", (2, 1, 3, 4, 6, 5, 7))
+    >>> [tuple(f) for f in {a.translate(m) for m in high} & {b.translate(m) for m in low}]
+    [(1, 2, 3, 4, 6, 5, 7)]
+    >>> len(high), len(low), len(ball_maps("linf", 7)), meet_maps(6) == ((), ball_maps("linf", 6))
+    (7, 4, 20, True)
+    """
+    if n < 7:
+        return (), ball_maps("linf", n)
+    k = n - 4
+    swap = bytes.maketrans(bytes((k, k + 1)), bytes((k + 1, k)))
+    ident = bytes(range(256))
+    across = (ident, *_moving(n, 1, first=k + 2))
+    high = (*_moving(n, 1, first=k + 1), *(h.translate(swap).translate(_TAG) for h in across))
+    low = (*_moving(k, 1), *(m.translate(_TAG) for m in (ident, *_moving(k - 1, 1))))
+    return high, low
+
+
+def distance_two_maps(metric: str, n: int) -> Iterable[bytes]:
+    """Maps as in ball_maps to each permutation at distance exactly 2: the
+    products of two Kendall ball maps, as one cached tuple, or lazily the
+    maps that move some value by 2 and none by more (10,412,815 Chebyshev
+    ones at n = 20).
 
     >>> sorted(tuple(form("linf", (1, 2, 3)).translate(m)) for m in distance_two_maps("linf", 3))
     [(2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
     if metric == "linf":
         return _moving(n, 2)
-    ball = ball_maps(metric, n)  # a.translate(b) is the table of b after a
-    return iter(dict.fromkeys(a.translate(b) for a in ball for b in ball if a != b))
+    return _kendall_two_maps(n)
+
+
+@lru_cache(maxsize=None)
+def _kendall_two_maps(n: int) -> tuple[bytes, ...]:
+    ball = ball_maps("kendall", n)  # a.translate(b) is the table of b after a
+    return tuple(dict.fromkeys(a.translate(b) for a in ball for b in ball if a != b))
 
 
 def parse_perm(text: str) -> Perm:

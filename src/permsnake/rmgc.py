@@ -57,6 +57,8 @@ def build_rmgc(n: int) -> GrayCode:
 
     The order-1 code is the degenerate single codeword (no transitions).
     """
+    if type(n) is not int:
+        raise ValueError(f"n must be an int, got {n!r}")
     if not 1 <= n <= MAX_RMGC_N:
         raise ValueError(f"build_rmgc supports 1 <= n <= {MAX_RMGC_N}, got {n}")
     if n == 1:

@@ -81,6 +81,9 @@ class SearchSpec:
         allowed = self.allowed_transitions
         if allowed is None:
             allowed = tuple(range(2, self.n + 1))
+        for t in allowed:
+            if type(t) is not int:
+                raise ValueError(f"allowed_transitions must hold ints, got {t!r}")
         allowed = tuple(sorted(set(allowed)))
         if not allowed:
             raise ValueError("allowed_transitions must not be empty")

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,15 +23,25 @@ from permsnake.code_model import (
 )
 from permsnake.ksnake import build_ksnake
 from permsnake.linf_snake import build_linf_snake
-from permsnake.perm_core import form, identity, kendall_distance, linf_distance
+from permsnake.perm_core import (
+    ball_maps,
+    form,
+    identity,
+    kendall_distance,
+    linf_distance,
+    push_top,
+    sign,
+)
 from permsnake.rmgc import build_rmgc
 
 C3 = GrayCode(n=3, start=(1, 2, 3), transitions=(3, 3, 3), cyclic=True)
 
 
 def _verify_list(words, metric):
-    """_verify_words on a list of distinct words, indexed by rank."""
-    return _verify_words({form(metric, w): r for r, w in enumerate(words)}, metric)
+    """_verify_words on a list of distinct words, indexed by rank, with the
+    parities from perm_core.sign rather than from pushes."""
+    parities = bytes((1 - sign(w)) // 2 for w in words)
+    return _verify_words({form(metric, w): r for r, w in enumerate(words)}, metric, parities)
 
 
 def test_gray_code_validation():
@@ -42,6 +53,14 @@ def test_gray_code_validation():
         GrayCode(n=3, start=(1, 2, 3), transitions=(1,), cyclic=False)
     with pytest.raises(ValueError):
         GrayCode(n=2, start=(1, 2), transitions=(), cyclic=True)
+
+
+@pytest.mark.parametrize("t", [1, 4, 256, -1, 10**30])
+def test_gray_code_names_the_first_transition_out_of_range(t):
+    # outside 0..255 as well as inside it, where the range is read as bytes
+    with pytest.raises(ValueError) as info:
+        GrayCode(n=3, start=(1, 2, 3), transitions=(3, t, 2, t), cyclic=False)
+    assert str(info.value) == f"transition index {t} out of range 2..3"
 
 
 def test_size_counts_codewords():
@@ -122,6 +141,91 @@ def test_ball_lookup_reports_lex_first_witness():
     assert report.min_pairwise_distance == 1
     assert report.witness == (0, 1)
     assert report == _verify_pairs(words, "kendall")
+
+
+@pytest.mark.parametrize("metric", ["kendall", "linf"])
+def test_ball_lookup_matches_pairwise_on_every_two_word_list(metric):
+    # every ordered pair of distinct words at n <= 5, either word in either
+    # parity class
+    for n in range(1, 6):
+        for words in itertools.permutations(itertools.permutations(range(1, n + 1)), 2):
+            assert _verify_list(words, metric) == _verify_pairs(words, metric)
+
+
+def test_chebyshev_meet_matches_pairwise_around_one_word():
+    # n = 7 is the least length split into low and high sides: every word
+    # beside one fixed word, in either order, so each ball map and every
+    # other offset is met once
+    a = (3, 6, 1, 7, 4, 2, 5)
+    for b in itertools.permutations(range(1, 8)):
+        if b != a:
+            for words in ((a, b), (b, a)):
+                assert _verify_list(words, "linf") == _verify_pairs(words, "linf")
+
+
+@pytest.mark.parametrize("metric", ["kendall", "linf"])
+def test_ball_lookup_matches_pairwise_with_planted_neighbours(metric):
+    # random words at n = 6..10, with a few words one or two ball maps from
+    # another put in anywhere, so the witness and the minimum both vary
+    rng = random.Random(20)
+    for _ in range(150):
+        n = rng.randint(6, 10)
+        ball = ball_maps(metric, n)
+        forms = [bytes(rng.sample(range(1, n + 1), n)) for _ in range(rng.randint(2, 24))]
+        for _ in range(rng.randint(0, 2)):
+            f = rng.choice(forms)
+            for _ in range(rng.randint(1, 2)):
+                f = f.translate(rng.choice(ball))
+            forms.insert(rng.randint(0, len(forms)), f)
+        words = tuple(dict.fromkeys(tuple(form(metric, f)) for f in forms))
+        assert _verify_list(words, metric) == _verify_pairs(words, metric)
+
+
+@pytest.mark.parametrize("source", ["ksnake5", "witness57"])
+def test_odd_push_code_ended_by_an_even_push_keeps_the_witness(source):
+    # every codeword of an odd-push code has the start's parity; one even
+    # push at the end makes the other class a single word, whose ball alone
+    # is looked up
+    code = build_ksnake(5) if source == "ksnake5" else k5_witness_code()
+    assert all(t % 2 for t in code.transitions)
+    words = expand(code)
+    cases = 0
+    for k in range(len(words) - 1):
+        for t in (2, 4):
+            x = push_top(t, words[k])
+            if x in words[: k + 1]:
+                continue
+            cut = GrayCode(5, code.start, code.transitions[:k] + (t,), False)
+            report = verify_snake(cut, "kendall")
+            assert report == _verify_pairs(words[: k + 1] + (x,), "kendall")
+            cases += not report.valid
+    assert cases > len(words)  # t_2 always lands next to the word it leaves
+
+
+def test_long_chebyshev_walk_at_largest_n():
+    # a few hundred words at n = 20, where the ball has 10,945 maps: valid,
+    # then cut where a t_2 swaps two adjacent values and so ends at distance 1
+    # (a longer push moves some value by 2 or more)
+    rng = random.Random(7)
+    start = tuple(rng.sample(range(1, 21), 20))
+    words, transitions = [start], []
+    while len(words) < 300:
+        t = rng.randint(3, 20)
+        x = push_top(t, words[-1])
+        if x not in words:
+            words.append(x)
+            transitions.append(t)
+    code = GrayCode(20, start, tuple(transitions), False)
+    k = next(k for k in range(150, 299) if abs(words[k][0] - words[k][1]) == 1)
+    cut = GrayCode(20, start, tuple(transitions[:k]) + (2,), False)
+    cut_words = tuple(words[: k + 1]) + (push_top(2, words[k]),)
+    reports = []
+    for walk, reference in ((code, tuple(words)), (cut, cut_words)):
+        began = time.perf_counter()
+        reports.append(verify_snake(walk, "linf"))
+        assert time.perf_counter() - began < 1.0
+        assert reports[-1] == _verify_pairs(reference, "linf")
+    assert [report.valid for report in reports] == [True, False]
 
 
 def _fixtures():

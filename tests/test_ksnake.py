@@ -383,3 +383,9 @@ def test_an_order_that_is_not_an_int_is_refused_before_any_table(monkeypatch, n)
     assert _refusal(unrank_k, n, 0) == text
     assert _refusal(successor_k, n, (5, 3, 1, 2, 4)) == text
     assert _refusal(successor_k, n, (1, 2, 3)) == text
+
+
+@pytest.mark.parametrize("N", [5.0, True, "5", None])
+def test_a_degree_that_is_not_an_int_is_refused(N):
+    for build in (build_ksnake, ksnake_size):
+        assert _refusal(build, N) == f"N must be an int, got {N!r}"

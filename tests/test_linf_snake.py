@@ -241,3 +241,11 @@ def test_unrank_refuses_a_length_that_is_not_an_int_before_any_table(monkeypatch
     with pytest.raises(ValueError) as info:
         unrank_inf(n, 0)
     assert str(info.value) == f"n must be an int, got {n!r}"
+
+
+@pytest.mark.parametrize("n", [6.0, True, "6", None])
+def test_a_length_that_is_not_an_int_is_refused(n):
+    for build in (build_linf_snake, linf_size):
+        with pytest.raises(ValueError) as info:
+            build(n)
+        assert str(info.value) == f"n must be an int, got {n!r}"

@@ -17,6 +17,7 @@ from permsnake.perm_core import (
     identity,
     kendall_distance,
     linf_distance,
+    meet_maps,
     parse_perm,
     push_top,
     sign,
@@ -186,3 +187,36 @@ def test_linf_distance_two_maps_are_lazy_at_largest_n():
     first = [f.translate(m) for m in itertools.islice(distance_two_maps("linf", MAX_N), 5)]
     assert len(set(first)) == 5
     assert all(linf_distance(p, tuple(g)) == 2 for g in first)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_meet_maps_factor_the_chebyshev_ball_once(n):
+    # an untagged low map times an untagged high map (not both the
+    # identity), or a tagged low map times a tagged high map, is each
+    # ball map exactly once; parts of one product move disjoint values
+    high, low = meet_maps(n)
+    assert len(high) <= 7
+
+    def parts(tables, tagged):
+        picked = [tuple(v & 127 for v in m[1 : n + 1]) for m in tables if (m[1] > MAX_N) == tagged]
+        assert all(sorted(p) == list(range(1, n + 1)) for p in picked)
+        return picked + [tuple(range(1, n + 1))] * (not tagged)
+
+    def product(left, right):  # left after right
+        assert all(left[v - 1] == v or right[v - 1] == v for v in range(1, n + 1))
+        return tuple(left[v - 1] for v in right)
+
+    ident = tuple(range(1, n + 1))
+    products = [product(lo, hi) for lo in parts(low, False) for hi in parts(high, False)]
+    products.remove(ident)
+    products += [product(lo, hi) for lo in parts(low, True) for hi in parts(high, True)]
+    ball = [m[1 : n + 1] for m in ball_maps("linf", n)]
+    assert sorted(products) == sorted(tuple(m) for m in ball)
+
+
+def test_kendall_distance_two_maps_are_one_cached_tuple():
+    for n in (2, 5, 9):
+        maps = distance_two_maps("kendall", n)
+        assert isinstance(maps, tuple) and distance_two_maps("kendall", n) is maps
+        ball = ball_maps("kendall", n)
+        assert maps == tuple(dict.fromkeys(a.translate(b) for a in ball for b in ball if a != b))

@@ -71,3 +71,11 @@ def test_rank_unrank_succ_round_trip(n):
 def test_rank_rejects_foreign_word():
     ranks = word_ranks(build_rmgc(3))
     assert (1, 2, 4) not in ranks
+
+
+@pytest.mark.parametrize("n", [4.0, True, "4", None])
+def test_an_order_that_is_not_an_int_is_refused(n):
+    # True == 1 would build the order-1 code
+    with pytest.raises(ValueError) as info:
+        build_rmgc(n)
+    assert str(info.value) == f"n must be an int, got {n!r}"

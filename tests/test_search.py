@@ -123,6 +123,9 @@ def test_search_spec_validation():
         SearchSpec(n=5, metric="linf", node_budget=True)
     with pytest.raises(ValueError, match=r"^node_budget must be an int, got 10\.0$"):
         SearchSpec(n=5, metric="linf", node_budget=10.0)
+    for allowed, bad in (((3.0, 4), "3.0"), ((True, 3), "True"), ((3, "4"), "'4'")):
+        with pytest.raises(ValueError, match=f"^allowed_transitions must hold ints, got {bad}$"):
+            SearchSpec(n=4, metric="kendall", allowed_transitions=allowed)
 
 
 def test_non_identity_start():
