@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import countOf, xor
+from operator import countOf
 from typing import Optional
 
 from .perm_core import (
@@ -240,17 +240,25 @@ def verify_snake(code: GrayCode, metric: str) -> SnakeReport:
 
     The report's witness, when present, is the lowest-rank violating pair,
     and min_pairwise_distance of a valid code is the exact minimum.  Each
-    rank's parity comes from the pushes, one accumulate over them.  Raises
-    ValueError where expand does.
+    rank's parity comes from the pushes, one prefix XOR over them
+    (_parities).  Raises ValueError where expand does.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
     index = _ranks(code, metric)
     parities = b""
     if metric == "kendall":
-        steps = bytes(code.transitions[:-1] if code.cyclic else code.transitions)
-        parities = bytes(itertools.accumulate(steps.translate(_FLIPS), xor, initial=0))
+        parities = _parities(bytes(code.transitions[:-1] if code.cyclic else code.transitions))
     return _verify_words(index, metric, parities)
+
+
+def _parities(steps: bytes) -> bytes:
+    """Each rank's parity, 0 or 1: a prefix XOR of the flips by 1, 2, 4, ... byte shifts."""
+    flips = b"\x00" + steps.translate(_FLIPS)
+    x = int.from_bytes(flips, "big")
+    for k in range(len(flips).bit_length()):
+        x ^= x >> (8 << k)
+    return x.to_bytes(len(flips), "big")
 
 
 def balance_gap(code: GrayCode) -> int:
@@ -291,6 +299,12 @@ def encode_code(code: GrayCode, metric: Optional[str] = None) -> str:
 
 def decode_code(text: str) -> tuple[GrayCode, Optional[str]]:
     """Inverse of encode_code.  Raises ValueError on malformed input."""
+    fields, metric = _parse_code(text)
+    return GrayCode(*fields), metric
+
+
+def _parse_code(text: str) -> tuple[tuple, Optional[str]]:
+    """A code line's GrayCode fields and metric, its shape checked but no entry."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -309,5 +323,4 @@ def decode_code(text: str) -> tuple[GrayCode, Optional[str]]:
     metric = payload.get("metric")
     if metric is not None and metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")
-    start, transitions = tuple(payload["start"]), tuple(payload["transitions"])
-    return GrayCode(payload["n"], start, transitions, payload["cyclic"]), metric
+    return (payload["n"], payload["start"], payload["transitions"], payload["cyclic"]), metric

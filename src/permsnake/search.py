@@ -155,8 +155,10 @@ def _build_tables(spec: SearchSpec) -> tuple[
     # A ball is a form translated by the metric's value maps.  filter(None, ·)
     # drops the members outside the orbit (get gives None), which the search
     # never places or looks up, and the start, 0, whose counter never reaches
-    # zero anyway, as the start stays placed.
-    forms, get, maps = list(index), index.get, ball_maps(metric, spec.n)
+    # zero anyway, as the start stays placed.  A Kendall neighbour has the
+    # other parity, so no ball map is needed where every push is odd.
+    odd_kendall = kendall and all(t % 2 for t in alphabet)
+    forms, get, maps = list(index), index.get, () if odd_kendall else ball_maps(metric, spec.n)
     balls: list[Optional[tuple[int, ...]]] = [None] * len(forms)
 
     def ball(i: int) -> tuple[int, ...]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from permsnake.cli import build_parser, run
+from permsnake.code_model import GrayCode
 from permsnake.repro import REPRO_CHECKS
 
 
@@ -477,7 +478,10 @@ def _gen_line(capsys, *args):
 def test_verify_cap_requires_force(capsys, monkeypatch, gen_args, size):
     line = _gen_line(capsys, *gen_args)
     monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
-    assert run(["verify", "-"]) == 2
+    with monkeypatch.context() as m:
+        # the cap is read from the parsed line, before any GrayCode is built
+        m.setattr(GrayCode, "__post_init__", lambda self: pytest.fail("GrayCode built"))
+        assert run(["verify", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert str(size) in captured.err and "--force" in captured.err
@@ -486,6 +490,49 @@ def test_verify_cap_requires_force(capsys, monkeypatch, gen_args, size):
     report = json.loads(_stdout_lines(capsys)[0])
     assert (report["valid"], report["min_pairwise_distance"]) == (True, 2)
     assert report["size"] == size
+
+
+CAP_MESSAGE = "code has {} codewords (> 2000); pass --force to verify it anyway"
+ENTRY_FAULTS = {
+    "transition_99": ("transitions", 99, "transition index 99 out of range 2..4"),
+    "transition_float": ("transitions", 3.0, "transitions must be a list of integers"),
+    "transition_true": ("transitions", True, "transitions must be a list of integers"),
+    "start_repeat": ("start", 2, "not a permutation of 1..n (n <= 20): (2, 2, 3, 4)"),
+    "no_metric": ("metric", None, "no metric: pass --metric or embed one in the code JSON"),
+}
+
+
+def _faulty_line(steps, cyclic, fault):
+    obj = {"n": 4, "metric": "kendall", "start": [1, 2, 3, 4],
+           "transitions": [2] * steps, "cyclic": cyclic}
+    key, value, _ = ENTRY_FAULTS[fault]
+    if key == "metric":
+        obj[key] = value
+    else:
+        obj[key][0 if key == "start" else 5] = value
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("fault", ENTRY_FAULTS)
+@pytest.mark.parametrize(
+    "steps, cyclic, size",
+    [(2001, True, 2001), (2000, False, 2001), (2000, True, 2000), (1999, False, 2000),
+     (20, True, 20)],
+    ids=["cyclic2001", "open2001", "cyclic2000", "open2000", "cyclic20"],
+)
+def test_verify_refuses_an_over_cap_line_before_its_entries(
+        capsys, monkeypatch, fault, steps, cyclic, size):
+    # Over the cap the refusal names the size, whatever the entries hold;
+    # --force, or a line within the cap, names the bad entry instead.
+    line = _faulty_line(steps, cyclic, fault)
+    for argv in (["verify", "-"], ["verify", "-", "--force"]):
+        monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        message = ENTRY_FAULTS[fault][2]
+        if size > 2000 and "--force" not in argv:
+            message = CAP_MESSAGE.format(size)
+        assert (captured.out, captured.err) == ("", f"error: line 1: {message}\n")
 
 
 NUMPY_FREE_PIPELINE = """

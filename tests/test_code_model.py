@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import operator
 import random
 import time
 
@@ -179,6 +180,17 @@ def test_ball_lookup_matches_pairwise_with_planted_neighbours(metric):
             forms.insert(rng.randint(0, len(forms)), f)
         words = tuple(dict.fromkeys(tuple(form(metric, f)) for f in forms))
         assert _verify_list(words, metric) == _verify_pairs(words, metric)
+
+
+def test_parities_match_an_accumulated_xor_of_the_flips():
+    # the reference: each rank's parity from rank 0's, flipped by each even
+    # push, at every length up to 70 and a few long ones
+    rng = random.Random(21)
+    for length in [*range(71), 255, 256, 257, 5000]:
+        steps = bytes(rng.choice(range(2, 11)) for _ in range(length))
+        flips = bytes(1 - t % 2 for t in steps)
+        expected = bytes(itertools.accumulate(flips, operator.xor, initial=0))
+        assert code_model._parities(steps) == expected
 
 
 @pytest.mark.parametrize("source", ["ksnake5", "witness57"])
