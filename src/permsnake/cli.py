@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", choices=("kendall", "linf"), required=True)
     p.add_argument("--cyclic", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--transitions", help="comma-separated indices, e.g. 3,5")
-    p.add_argument("--budget", type=int, help="node budget (placements)")
+    p.add_argument("--budget", type=int,
+                   help="node budget: the most nodes, states accepted as codewords, to count")
     p.add_argument("--exhaustive", action="store_true",
                    help="run to exhaustion (n <= 6)")
     p.add_argument("--start", help="start permutation (default identity)")

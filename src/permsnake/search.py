@@ -6,39 +6,44 @@ start under the allowed pushes and nothing else, because no code through the
 start leaves it: the odd pushes t_3, t_5, ... reach at most the n!/2
 permutations of the start's parity, and a single push t_k only k of them.
 The orbit is found breadth-first on byte forms (perm_core.form), which the
-pushes step in C.  The search keeps a blocked-counter over the orbit:
-placing a codeword increments every state of the orbit in its closed
-radius-1 ball, built the first time the search places that state, so a
-candidate extension is legal exactly when its counter is zero.  Transitions
-are tried in ascending index order, which makes the first maximal code found
-the lexicographically least witness and the whole search deterministic.
+pushes step in C.  A state's row lists its children by ascending push, less a
+t_2 child inside the state's own radius-1 ball, which is never legal.  A
+node is a state the search accepts as the next codeword, and the node budget
+counts nodes.  Placing a node increments a blocked-counter at every state of
+its closed ball, built the first time the search places the state, so a
+child is free, a candidate node, exactly when its counter is zero.
+
+Before placing a node the search scans its row for a free child.  Placing it
+moves no child's counter, as its children lie outside its ball, and each
+subtree leaves the counters as it found them, so the scan reads what the
+children's own turns would.  A node without a free child is a leaf: counted,
+checked for closing a code, but never placed.  Any other node is placed, and
+the search goes straight down to its first free child.  Children are tried
+in ascending push order, which makes the first maximal code found the
+lexicographically least witness and the whole search deterministic.
 
 For cyclic Kendall searches the tree is additionally split on the minimum
-transition index f appearing anywhere in the cyclic transition sequence:
-every cyclic snake can be rotated so a minimal transition comes first and
-then translated back to the fixed start (Kendall distance is invariant under
-left translation), so exploring, for each f, only sequences that start with f
-and stay at indices >= f still covers every achievable size.  Chebyshev
-distance is not translation invariant, so no such split is applied there and
-exhaustion certifies optimality among codes through the fixed start; hitting
-the metric's upper bound certifies global optimality for either metric.
+push f in the cyclic push sequence: every cyclic snake can be rotated so a
+least push comes first and translated back to the start (Kendall distance is
+invariant under left translation), so each branch f explores only sequences
+that start with f and stay at pushes >= f.  Chebyshev distance is not
+translation invariant, so exhaustion there certifies optimality among codes
+through the fixed start; reaching the metric's upper bound certifies global
+optimality under either metric.
 
 A cyclic code closes at a closer, a state one allowed push before the start.
 Counters only rise below a node, so once every closer the branch may close
-at (push >= its first, under the split) is blocked, no code below the node
-closes, and the search does not expand it: the node still counts and may
-still close a code itself.  Only placing a state whose ball holds a closer
-blocks one, so the closers' counters are read only after such placements,
-and a branch is skipped outright when the start's ball blocks all of them.
-Exhaustive searches keep their sizes and witnesses with fewer nodes, a
-budgeted one spends the nodes saved on subtrees that can still close, and
-open searches are left alone.
+at is blocked, no code below the node closes, and the search does not expand
+it: the node still counts and may close a code itself.  Only placing a state
+whose ball holds a closer blocks one, so the closers' counters are read only
+after such placements, and a branch is skipped when the start's ball blocks
+all of them.  Open searches are left alone.
 
-The branches, one per first transition, run in ascending order.  Branch f
-of b may place ceil(remaining / (b - f)) nodes, remaining being the node
-budget less what the earlier branches placed.  The search stops once a code
-reaches the metric's upper bound: an equal-size code never replaces the first
-one found, so the stop changes no size, witness or optimality verdict.
+The branches, one per first push, run in ascending order.  Branch f of b may
+count ceil(remaining / (b - f)) nodes, remaining being the node budget less
+what the earlier branches counted.  The search stops once a code reaches the
+metric's upper bound: an equal-size code never replaces the first one found,
+so the stop changes no size, witness or optimality verdict.
 """
 
 from __future__ import annotations
@@ -124,14 +129,17 @@ class SearchResult:
 
 
 def _build_tables(spec: SearchSpec) -> tuple[
-        list[Optional[tuple[int, ...]]], Callable[[int], tuple[int, ...]], list, list[int],
-        list[int]]:
-    """(balls, ball, moves, closing, closers) over the orbit of the start
-    under the spec's sorted alphabet, state 0 being the start: ball(i) builds
-    state i's closed radius-1 ball in the orbit (the start only in its own)
-    into balls[i], None until then; moves[i] holds (t, push_top(t, ·)) of
-    state i per t, closing[i] the push that returns it to the start, 0 if
-    none, and closers the states with a closing push, in alphabet order."""
+        list[Optional[tuple[int, ...]]], Callable[[int], tuple[int, ...]], list[list[int]],
+        list[tuple[int, ...]], list[int], list[int]]:
+    """(balls, ball, columns, rows, closing, closers) over the orbit of the
+    start under the spec's sorted alphabet, state 0 being the start: ball(i)
+    builds state i's closed radius-1 ball in the orbit (the start only in its
+    own) into balls[i], None until then; columns[j][i] is the child of state
+    i by the j-th push; rows[i] lists state i's children by ascending push but
+    a t_2 child inside state i's ball, never legal, as state i stays placed
+    while its children are tried; closing[i] is the push that returns state i
+    to the start, 0 if none, and closers the states with a closing push, in
+    alphabet order."""
     alphabet, metric, kendall = spec.allowed_transitions, spec.metric, spec.metric == "kendall"
     # A state is its byte form (perm_core.form), which a push steps in C: a
     # value map on a Kendall form, three slices joined on a Chebyshev word.
@@ -139,26 +147,33 @@ def _build_tables(spec: SearchSpec) -> tuple[
     # Breadth-first from the start: setdefault gives each state its number,
     # and a state reached for the first time the next one, len(index), which
     # numbers reads just before each call.  A level is a run of consecutive
-    # numbers, so each column lists its push's moves in state order.
+    # numbers, so each column lists its push's children in state order.
     index = {form(metric, spec.start): 0}
     numbers = iter(index.__len__, -1)
-    columns: list[list[tuple[int, int]]] = [[] for _ in alphabet]
+    columns: list[list[int]] = [[] for _ in alphabet]
     level = list(index)
     while level:
         reached = len(index)
         for column, t, cut in zip(columns, alphabet, cuts):
             pushed = (map(bytes.translate, level, itertools.repeat(PUSH_MAPS[t])) if kendall
                       else map(b"".join, map(cut, level)))
-            column += zip(itertools.repeat(t), map(index.setdefault, pushed, numbers))
+            column += map(index.setdefault, pushed, numbers)
         level = list(itertools.islice(index, reached, None))
-    moves = list(zip(*columns))
+    forms = list(index)
+    # t >= 3 moves a value t-1 >= 2 places; t_2 swaps the first two entries, a
+    # neighbour under Kendall, and under Chebyshev if they are adjacent values.
+    # Kendall t_2 alone reaches two states, and lists no child of either.
+    skip = kendall and alphabet[0] == 2
+    rows = list(zip(*columns[skip:])) or [()] * len(forms)
+    if alphabet[0] == 2 and not kendall:
+        rows = [row[abs(f[0] - f[1]) == 1:] for row, f in zip(rows, forms)]
     # A ball is a form translated by the metric's value maps.  filter(None, ·)
     # drops the members outside the orbit (get gives None), which the search
     # never places or looks up, and the start, 0, whose counter never reaches
     # zero anyway, as the start stays placed.  A Kendall neighbour has the
     # other parity, so no ball map is needed where every push is odd.
     odd_kendall = kendall and all(t % 2 for t in alphabet)
-    forms, get, maps = list(index), index.get, () if odd_kendall else ball_maps(metric, spec.n)
+    get, maps = index.get, () if odd_kendall else ball_maps(metric, spec.n)
     balls: list[Optional[tuple[int, ...]]] = [None] * len(forms)
 
     def ball(i: int) -> tuple[int, ...]:
@@ -171,7 +186,7 @@ def _build_tables(spec: SearchSpec) -> tuple[
     closing = [0] * len(forms)
     for t, c in zip(alphabet, closers):
         closing[c] = t
-    return balls, ball, moves, closing, closers
+    return balls, ball, columns, rows, closing, closers
 
 
 def longest_snake(spec: SearchSpec) -> SearchResult:
@@ -183,11 +198,12 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
     codes through spec.start: n=5 pushes {2,5} gives 5 from the identity
     but 14 from (1,2,3,5,4), both exhaustive.
     """
-    balls, ball, all_moves, closing, closers = _build_tables(spec)
+    balls, ball, columns, rows, closing, closers = _build_tables(spec)
     bound = trivial_upper(spec.n) if spec.metric == "kendall" else linf_upper(spec.n)
     cyclic, alphabet, budget = spec.cyclic, spec.allowed_transitions, spec.node_budget
     # A cyclic Kendall branch keeps to pushes >= its first (module docstring).
     split_on_min = spec.metric == "kendall" and cyclic
+    skip = spec.metric == "kendall" and alphabet[0] == 2  # Kendall rows hold no t_2
     # touches[s] is set where s's ball holds a closer: only placing such a
     # state blocks one, and s is in a closer's ball exactly when the closer
     # is in s's.  An open search closes nothing and leaves touches clear.
@@ -195,70 +211,79 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
     for c in closers if cyclic else ():
         for u in balls[c] or ball(c):
             touches[u] = 1
-    # (size, transitions, with the closing push for cyclic codes) of the
-    # largest code so far; a code replaces it only if larger
-    best_size, best_trans = (0, None) if cyclic else (1, ())
-    nodes = 0
-    exhausted = True
+    # (size, states after the start) of the largest code so far: only a larger one replaces it
+    best_size, best_path = (0, None) if cyclic else (1, ())
+    nodes, exhausted = 0, True
     b = len(alphabet)
     for f in range(b):
         if best_size >= bound:
             break
         # an even share of what the earlier branches left
         limit = math.inf if budget is None else nodes + -(-(budget - nodes) // (b - f))
-        # the branch pushes, and closes its code, only with least and above
+        # the branch pushes, and closes its code, only with alphabet[offset] and above
         offset = f if split_on_min else 0
-        least = alphabet[offset]
-        floor = least if cyclic else 0
-        moves = all_moves if offset == 0 else [mv[offset:] for mv in all_moves]
+        floor = alphabet[offset] if cyclic else 0
         blocked = [0] * len(balls)
         for u in balls[0] or ball(0):
             blocked[u] += 1
-        # The counters of the closers the branch may close at, a tuple even
-        # for one closer; a cyclic branch none of whose closers is free
-        # cannot close anywhere.
+        # The counters of the closers the branch may close at, a tuple even for
+        # one; a cyclic branch none of whose closers is free closes nowhere.
         free_closers = itemgetter(*closers[offset:], closers[-1])
         if cyclic and 0 not in free_closers(blocked):
             continue
-        # One entry (state, the push that reached it, the untried siblings)
-        # per placed state; children iterates the top state's untried pushes.
-        stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
-        children = iter(all_moves[0][f : f + 1])
-        while True:
-            for t, nxt in children:
+        moves = rows if offset <= skip else [row[offset - skip:] for row in rows]
+        # One entry (state, its untried siblings) per placed state; children
+        # iterates the top state's untried children (the start's: push f).
+        stack: list[tuple[int, Iterator[int]]] = []
+        children = iter((columns[f][0],))
+        while best_size < bound:
+            for nxt in children:
                 if not blocked[nxt]:
                     break
             else:
                 if not stack:
                     break
-                state, _, children = stack.pop()
+                state, children = stack.pop()
                 for u in balls[state]:
                     blocked[u] -= 1
                 continue
-            if nodes >= limit:
+            # count nxt and go down through first free children to a leaf
+            while nodes < limit:
+                nodes += 1
+                # the code through nxt has len(stack) + 2 codewords
+                if closing[nxt] >= floor and len(stack) + 1 >= best_size:
+                    best_size = len(stack) + 2
+                    best_path = (*map(itemgetter(0), stack), nxt)
+                    if best_size >= bound:
+                        break
+                # a node without a free child is a leaf and is never placed
+                row = iter(moves[nxt])
+                for child in row:
+                    if not blocked[child]:
+                        break
+                else:
+                    break
+                for u in balls[nxt] or ball(nxt):
+                    blocked[u] += 1
+                # Counters only rise below a node, so once no closer is free
+                # no code below it closes: a cyclic search does not expand it.
+                if touches[nxt] and 0 not in free_closers(blocked):
+                    for u in balls[nxt]:
+                        blocked[u] -= 1
+                    break
+                stack.append((nxt, children))
+                nxt, children = child, row
+            else:
                 exhausted = False
                 break
-            nodes += 1
-            for u in balls[nxt] or ball(nxt):
-                blocked[u] += 1
-            stack.append((nxt, t, children))
-            # the code through the placed states has len(stack) + 1 codewords
-            if closing[nxt] >= floor and len(stack) >= best_size:
-                best_size = len(stack) + 1
-                best_trans = tuple(entry[1] for entry in stack)
-                if cyclic:
-                    best_trans += (closing[nxt],)
-                if best_size >= bound:
-                    break
-            # Counters only rise below a node, so once no closer is free no
-            # code below it closes: a cyclic search does not expand it.
-            if touches[nxt] and 0 not in free_closers(blocked):
-                children = iter(())
-            else:
-                children = iter(moves[nxt])
 
     code = None
-    if best_trans is not None:
+    if best_path is not None:
+        # a state's children differ, so the columns give back each push
+        best_trans = tuple(next(t for t, column in zip(alphabet, columns) if column[u] == v)
+                           for u, v in zip((0, *best_path), best_path))
+        if cyclic:
+            best_trans += (closing[best_path[-1]],)
         code = GrayCode(n=spec.n, start=spec.start, transitions=best_trans, cyclic=cyclic)
     return SearchResult(
         best=code, size=best_size, proven_optimal=exhausted or best_size >= bound,

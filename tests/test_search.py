@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from permsnake.code_model import verify_snake
-from permsnake.perm_core import kendall_distance, linf_distance, push_top
+from permsnake.perm_core import ball_maps, form, kendall_distance, linf_distance, push_top
 from permsnake.search import (
     MAX_EXHAUSTIVE_N,
     MAX_SEARCH_N,
@@ -89,6 +89,28 @@ def test_a_budget_below_the_branch_count_is_not_overspent(spec):
     r = longest_snake(spec)
     assert r.nodes == spec.node_budget
     assert not r.proven_optimal
+
+
+# SHA-256 over (size, nodes, proven_optimal, transitions) for every node
+# budget 1..300, recorded before leaves were counted without being placed
+BUDGET_DIGESTS = {
+    ("kendall", True): "3581b729fda5051c2901df8c2f1bd4b43c022e49da049d5c3d8ba83875f56b77",
+    ("kendall", False): "8ab155cd59900e4a5bd2c54ca6e27af3a39786e7f2dce5d0bec2e65586ee7006",
+    ("linf", True): "10c42930736d4df0ebaa880dfb307207e79ffbbf5b3f09d8c646c2d843c0be52",
+    ("linf", False): "15b7abd97e33c393b55b60d8c295f0a0ce8476c67e7170de45a709c4f5918eea",
+}
+
+
+@pytest.mark.parametrize("metric, cyclic", BUDGET_DIGESTS, ids=lambda v: str(v))
+def test_budget_cut_offs_keep_their_results(metric, cyclic):
+    # A budget can run out on a leaf, a node that is counted but never
+    # placed, or on a placed node; a miscounted leaf moves the cut-off.
+    digest = hashlib.sha256()
+    for budget in range(1, 301):
+        r = longest_snake(SearchSpec(n=5, metric=metric, cyclic=cyclic, node_budget=budget))
+        transitions = None if r.best is None else r.best.transitions
+        digest.update(repr((r.size, r.nodes, r.proven_optimal, transitions)).encode())
+    assert digest.hexdigest() == BUDGET_DIGESTS[metric, cyclic]
 
 
 def test_search_stops_at_the_metric_bound():
@@ -304,6 +326,39 @@ def test_odd_push_kendall_balls_hold_only_their_centre():
     balls, ball = _build_tables(SearchSpec(n=5, metric="kendall", allowed_transitions=(3, 5)))[:2]
     assert len(balls) == 60
     assert all(ball(i) == (i,) for i in range(len(balls)))
+
+
+def _row_cases():
+    for n, metric in itertools.product(range(3, 7), ("kendall", "linf")):
+        full = tuple(range(2, n + 1))
+        for alphabet in dict.fromkeys((full, (2, n), (2,), full[1:])):
+            yield pytest.param(SearchSpec(n, metric, allowed_transitions=alphabet),
+                               id=f"{metric}{n}_p{''.join(map(str, alphabet))}")
+
+
+@pytest.mark.parametrize("spec", _row_cases())
+def test_rows_leave_out_exactly_the_t2_children_in_the_ball(spec):
+    balls, _, columns, rows, _, _ = _build_tables(spec)
+    assert len(rows) == len(balls) == _orbit_size(spec)
+    # Number the states' permutations from the columns: a state is listed
+    # after the state it was first reached from.
+    perms = {0: spec.start}
+    for i in range(len(rows)):
+        for t, column in zip(spec.allowed_transitions, columns):
+            assert perms.setdefault(column[i], push_top(t, perms[i])) == push_top(t, perms[i])
+    assert len(set(perms.values())) == len(perms) == len(rows)
+    # the start's first moves keep one child per push, t_2 included
+    assert [perms[column[0]] for column in columns] == [
+        push_top(t, spec.start) for t in spec.allowed_transitions]
+    maps = ball_maps(spec.metric, spec.n)
+    for i, row in enumerate(rows):
+        ball = {form(spec.metric, perms[i]).translate(m) for m in maps}
+        kept, left_out = [], []
+        for t, column in zip(spec.allowed_transitions, columns):
+            inside = form(spec.metric, perms[column[i]]) in ball
+            (left_out if inside else kept).append((t, column[i]))
+        assert row == tuple(c for _, c in kept)
+        assert all(t == 2 for t, _ in left_out)
 
 
 def _oracle(spec):
