@@ -23,7 +23,6 @@ from .code_model import (
     encode_code,
     expand,
     verify_snake,
-    word_ranks,
 )
 from .ksnake import (
     build_ksnake,
@@ -105,5 +104,4 @@ __all__ = [
     "unrank_inf",
     "unrank_k",
     "verify_snake",
-    "word_ranks",
 ]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial, log2
 from typing import Optional
 
-from .perm_core import MAX_N
+from .perm_core import MAX_N, _require_int
 from .ksnake import ksnake_size
 from .linf_snake import MIN_LINF_N, linf_size
 
@@ -29,6 +29,7 @@ __all__ = [
 def trivial_upper(n: int) -> int:
     """n!/2: a Kendall snake is an independent set in a bipartite graph whose
     larger side has n!/2 vertices."""
+    _require_int("n", n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     return factorial(n) // 2
@@ -36,6 +37,7 @@ def trivial_upper(n: int) -> int:
 
 def linf_upper(n: int) -> int:
     """Chebyshev bound: n! / 2^floor(n/2)."""
+    _require_int("n", n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     return factorial(n) // (1 << (n // 2))
@@ -43,6 +45,7 @@ def linf_upper(n: int) -> int:
 
 def ksnake_density(N: int) -> Fraction:
     """M_N / N! as an exact rational: (2n)! / (n!^2 4^n) for N = 2n+1."""
+    _require_int("N", N)
     if N < 3 or N % 2 == 0:
         raise ValueError(f"N must be odd and >= 3, got {N}")
     n = (N - 1) // 2
@@ -95,6 +98,8 @@ def _row(n: int) -> BoundsRow:
 
 def bounds_table(n_lo: int, n_hi: int) -> tuple[BoundsRow, ...]:
     """Rows for n_lo..n_hi inclusive, 2 <= n_lo <= n_hi <= 20."""
+    _require_int("n_lo", n_lo)
+    _require_int("n_hi", n_hi)
     if not 2 <= n_lo <= n_hi <= MAX_N:
         raise ValueError(
             f"need 2 <= n_lo <= n_hi <= {MAX_N}, got n_lo={n_lo}, n_hi={n_hi}"

@@ -40,8 +40,13 @@ VERIFY_CAP = 2000
 REPRO_TARGETS = tuple(REPRO_CHECKS)
 
 
+# one encoder for every report line: json.dumps builds a new one per call
+# when given separators
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+    print(_encode(obj))
 
 
 def _note(msg: str) -> None:

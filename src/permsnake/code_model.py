@@ -8,16 +8,20 @@ codewords it holds M-1 transitions.
 verify_snake checks the strong snake property: every pair of distinct
 codewords must be at distance >= 2 in the chosen metric.  That holds exactly
 when no codeword's radius-1 ball holds another codeword.  One walk of the
-code indexes the codeword forms (perm_core.form) by rank, and a ball is a
-form translated by the value maps perm_core.ball_maps.  Whether any pair is
-at distance 1 is decided first with a fraction of the ball lookups: under
-Kendall only the balls of the smaller parity class, none for a code of odd
-pushes; under Chebyshev the words meet in the middle of each ball map,
-14 translates per codeword at n = 8 and 19 at n = 9 against balls of 33 and
-54 (perm_core.meet_maps).  Only an invalid code is then tested word by
-word in rank order, up to the lowest violating pair.  A plain pairwise loop
-remains as the test reference and as the fallback that finds the minimum
-distance of a snake with no pair at distance 2.
+code, in C, indexes the codeword forms (perm_core.form) by rank: each push
+is a translate of the Kendall form, and each Chebyshev form is turned back
+from a Kendall one.  A ball is a form translated by the value maps
+perm_core.ball_maps.  Whether any pair is at distance 1 is decided first
+with a fraction of the ball lookups: under Kendall only the balls of the
+smaller parity class, none for a code of odd pushes; under Chebyshev the
+words meet in the middle of each ball map, 14 translates per codeword at
+n = 8 and 19 at n = 9 against balls of 33 and 54 (perm_core.meet_maps).
+Only an invalid code is then tested word by word in rank order, up to the
+lowest violating pair.  A valid code is probed for a pair at distance 2
+with the maps of perm_core.distance_two_maps, which under Chebyshev are
+drawn once per length and kept.  A plain pairwise loop remains as the test
+reference and as the fallback that finds the minimum distance of a snake
+with no pair at distance 2.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ __all__ = [
     "encode_code",
     "expand",
     "verify_snake",
-    "word_ranks",
 ]
 
 METRICS = ("kendall", "linf")
@@ -119,30 +122,39 @@ def _ranks(code: GrayCode, metric: Optional[str] = None) -> dict:
     codeword, or by its form (perm_core.form) under metric if given.  Raises
     ValueError on a repeated codeword (naming the first collision) or, for
     cyclic codes, when the final transition does not return to start.
+
+    The forms are walked in C: each push is one translate of the Kendall
+    form, and a Chebyshev form is the form of a Kendall one.  Tuples are
+    sliced in a loop, which runs faster for them than the same chain.
     """
-    cur = code.start if metric is None else form(metric, code.start)
-    ranks = {cur: 0}
-    kendall = metric == "kendall"
     steps = code.transitions if not code.cyclic else code.transitions[:-1]
-    for k, t in enumerate(steps, 1):
-        cur = cur.translate(PUSH_MAPS[t]) if kendall else cur[t - 1 : t] + cur[: t - 1] + cur[t:]
-        dup = ranks.setdefault(cur, k)
-        if dup != k:
-            word = tuple(form(metric or "linf", cur))
-            raise ValueError(f"codeword at rank {k} repeats rank {dup}: {word}")
+    if metric is None:
+        cur = code.start
+        ranks = {cur: 0}
+        for k, t in enumerate(steps, 1):
+            cur = cur[t - 1 : t] + cur[: t - 1] + cur[t:]
+            dup = ranks.setdefault(cur, k)
+            if dup != k:
+                raise ValueError(f"codeword at rank {k} repeats rank {dup}: {cur}")
+    else:
+        forms = itertools.accumulate(
+            map(PUSH_MAPS.__getitem__, steps), bytes.translate, initial=form("kendall", code.start)
+        )
+        if metric == "linf":
+            ident = bytes(range(1, code.n + 1))
+            forms = map(ident.translate, map(bytes.maketrans, forms, itertools.repeat(ident)))
+        ranks = dict(zip(forms, itertools.count()))
+        if len(ranks) <= len(steps):
+            _ranks(code)  # raises, naming the first repeated codeword as the loop finds it
+        cur = tuple(form(metric, next(reversed(ranks))))
     if code.cyclic:
-        closing = push_top(code.transitions[-1], tuple(form(metric or "linf", cur)))
+        closing = push_top(code.transitions[-1], cur)
         if closing != code.start:
             raise ValueError(
                 f"cyclic code does not close: final transition yields {closing}, "
                 f"start is {code.start}"
             )
     return ranks
-
-
-def word_ranks(code: GrayCode) -> dict[Perm, int]:
-    """The rank of each codeword, keyed in rank order; raises where _ranks does."""
-    return _ranks(code)
 
 
 def expand(code: GrayCode) -> tuple[Perm, ...]:
@@ -216,8 +228,9 @@ def _verify_words(index: dict[bytes, int], metric: str, parities: bytes) -> Snak
     The lowest violating pair is the least rank i at distance 1 from
     another word, with the least rank j in its ball.  One pair at distance
     2 fixes a snake's minimum at 2.  The probe for one translates every form
-    by one distance-2 map at a time; the pairwise loop runs when it finds
-    none within as many lookups as there are pairs.
+    by one distance-2 map at a time, at most (M - 1) // 2 maps for M words,
+    so no more lookups than there are pairs; the pairwise loop runs when it
+    finds none.
     """
     keys = index.keys()
     n = len(next(iter(keys)))
@@ -225,11 +238,7 @@ def _verify_words(index: dict[bytes, int], metric: str, parities: bytes) -> Snak
     if f is not None:
         j = min(index[g] for g in map(f.translate, ball_maps(metric, n)) if g in keys)
         return SnakeReport(False, metric, 1, (index[f], j))
-    budget = len(index) * (len(index) - 1) // 2
-    for m in distance_two_maps(metric, n):
-        budget -= len(index)
-        if budget < 0:
-            break
+    for m in itertools.islice(distance_two_maps(metric, n), (len(index) - 1) // 2):
         if not keys.isdisjoint(map(bytes.translate, index, itertools.repeat(m))):
             return SnakeReport(True, metric, 2, None)
     return _verify_pairs(tuple(tuple(form(metric, f)) for f in index), metric)

@@ -16,6 +16,8 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import itertools
+import threading
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from operator import countOf
@@ -42,12 +44,20 @@ __all__ = [
     "sign",
 ]
 
+def _require_int(name: str, value) -> None:
+    """Refuse a value that is not an int, naming it: type() and not
+    isinstance(), which would take True and False (bool)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def identity(n: int) -> Perm:
     """The identity permutation of [n].
 
     >>> identity(4)
     (1, 2, 3, 4)
     """
+    _require_int("n", n)
     if not 1 <= n <= MAX_N:
         raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
     return tuple(range(1, n + 1))
@@ -255,16 +265,47 @@ def meet_maps(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
 
 def distance_two_maps(metric: str, n: int) -> Iterable[bytes]:
     """Maps as in ball_maps to each permutation at distance exactly 2: the
-    products of two Kendall ball maps, as one cached tuple, or lazily the
-    maps that move some value by 2 and none by more (10,412,815 Chebyshev
-    ones at n = 20).
+    products of two Kendall ball maps, as one cached tuple, or the maps that
+    move some value by 2 and none by more (10,412,815 Chebyshev ones at
+    n = 20).  The Chebyshev maps are drawn lazily, once per length, and kept
+    in the order drawn: every pass hands out the kept maps first and draws
+    more only when it goes past them.  verify_snake's probe on a code of M
+    codewords takes at most (M - 1) // 2 maps, so what is kept at a length
+    never exceeds that for the largest code probed there.
 
     >>> sorted(tuple(form("linf", (1, 2, 3)).translate(m)) for m in distance_two_maps("linf", 3))
     [(2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
     if metric == "linf":
-        return _moving(n, 2)
+        return _linf_two_maps(n)
     return _kendall_two_maps(n)
+
+
+class _Drawn:
+    """The items of an iterator, drawn once and kept in order, for any number
+    of passes, interleaved or from several threads."""
+
+    def __init__(self, source: Iterator[bytes]) -> None:
+        self._kept: list[bytes] = []
+        self._source = source
+        self._lock = threading.Lock()  # a generator refuses a second caller mid-step
+
+    def __iter__(self) -> Iterator[bytes]:
+        kept = self._kept
+        for k in itertools.count():
+            if k == len(kept):
+                with self._lock:
+                    if k == len(kept):
+                        item = next(self._source, None)
+                        if item is None:
+                            return
+                        kept.append(item)
+            yield kept[k]
+
+
+@lru_cache(maxsize=None)
+def _linf_two_maps(n: int) -> _Drawn:
+    return _Drawn(_moving(n, 2))
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .bounds import ksnake_density, linf_upper, trivial_upper
-from .code_model import GrayCode, balance_gap, expand, verify_snake, word_ranks
+from .code_model import GrayCode, _ranks, balance_gap, expand, verify_snake
 from .ksnake import build_ksnake
 from .perm_core import format_perm, identity, push_top, sign
 
@@ -160,7 +160,7 @@ def extend_to_complete(code: GrayCode) -> GrayCode:
             f"extend_to_complete needs n!/2 - 3 = {want} codewords at n={code.n}, "
             f"got {code.size}"
         )
-    word_index = word_ranks(code)
+    word_index = _ranks(code)
     evens = [p for p in itertools.permutations(range(1, code.n + 1)) if sign(p) == 1]
     complement = sorted(set(evens) - word_index.keys())
     if len(complement) != 3:

@@ -12,6 +12,7 @@ from permsnake.bounds import (
     trivial_upper,
 )
 from permsnake.ksnake import ksnake_size
+from permsnake.perm_core import identity
 
 
 def test_trivial_upper_is_half_factorial():
@@ -85,6 +86,23 @@ def test_bounds_table_range():
         bounds_table(1, 1)
     with pytest.raises(ValueError):
         bounds_table(21, 21)
+
+
+@pytest.mark.parametrize("call, args, text", [
+    (identity, (True,), "n must be an int, got True"),
+    (identity, (2.0,), "n must be an int, got 2.0"),
+    (trivial_upper, (4.0,), "n must be an int, got 4.0"),
+    (linf_upper, (4.0,), "n must be an int, got 4.0"),
+    (ksnake_density, (5.0,), "N must be an int, got 5.0"),
+    (ksnake_density, (True,), "N must be an int, got True"),
+    (bounds_table, (2.0, 3), "n_lo must be an int, got 2.0"),
+    (bounds_table, (2, "3"), "n_hi must be an int, got '3'"),
+])
+def test_a_length_that_is_not_an_int_is_refused(call, args, text):
+    # True == 1 and 2.0 == 2: each would pass the range check
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == text
 
 
 def test_rates_positive_but_below_one_across_range():

@@ -20,7 +20,6 @@ from permsnake.code_model import (
     encode_code,
     expand,
     verify_snake,
-    word_ranks,
 )
 from permsnake.ksnake import build_ksnake
 from permsnake.linf_snake import build_linf_snake
@@ -74,24 +73,75 @@ def test_expand_c3():
     assert expand(C3) == ((1, 2, 3), (3, 1, 2), (2, 3, 1))
 
 
-def test_word_ranks_c3():
-    ranks = word_ranks(C3)
+def test_ranks_c3():
+    ranks = code_model._ranks(C3)
     assert ranks == {(1, 2, 3): 0, (3, 1, 2): 1, (2, 3, 1): 2}
     assert tuple(ranks) == expand(C3)
 
 
 def test_expand_rejects_duplicates():
     dup = GrayCode(n=3, start=(1, 2, 3), transitions=(2, 2), cyclic=False)
-    for walk in (expand, word_ranks):
+    for walk in (expand, code_model._ranks):
         with pytest.raises(ValueError, match="codeword at rank 2 repeats rank 0"):
             walk(dup)
 
 
 def test_expand_rejects_bad_closure():
     open_loop = GrayCode(n=4, start=(1, 2, 3, 4), transitions=(3, 4), cyclic=True)
-    for walk in (expand, word_ranks):
+    for walk in (expand, code_model._ranks):
         with pytest.raises(ValueError, match="close"):
             walk(open_loop)
+
+
+def _builds():
+    """Every gen code, whatever its size, and every recorded code."""
+    codes = [build_ksnake(N) for N in (3, 5, 7, 9)]
+    codes += [
+        build_linf_snake(n, variant)
+        for n in range(4, 11)
+        for variant in ("odd-top", "even-top")
+    ]
+    codes += [build_rmgc(n) for n in range(1, 9)]
+    codes += [recorded_octal_code(n) for n in (4, 5, 6)]
+    codes += [k5_witness_code(), extend_to_complete(k5_witness_code())]
+    return codes
+
+
+@pytest.mark.parametrize("metric", ["kendall", "linf"])
+def test_form_walk_matches_a_walk_of_pushes(metric):
+    for code in _builds():
+        word, words = code.start, [code.start]
+        for t in code.transitions[: code.size - 1]:
+            word = push_top(t, word)
+            words.append(word)
+        ranks = code_model._ranks(code, metric)
+        assert list(ranks) == [form(metric, w) for w in words]
+        assert list(ranks.values()) == list(range(code.size))
+
+
+def _corrupted():
+    """Codes that repeat a codeword, or cyclic ones that do not close."""
+    rng = random.Random(25)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        start = tuple(rng.sample(range(1, n + 1), n))
+        pushes = [rng.randint(3 if n > 2 else 2, n) for _ in range(rng.randint(0, 12))]
+        k = rng.randint(0, len(pushes))
+        yield GrayCode(n, start, tuple(pushes[:k] + [2, 2] + pushes[k:]), False)
+        yield GrayCode(n, start, tuple(pushes[:k] + [n] * n + pushes[k:]), False)
+        yield GrayCode(n, start, tuple(pushes) + (2,), True)
+    yield GrayCode(4, (1, 2, 3, 4), (3, 4), True)
+
+
+def test_every_walk_refuses_a_corrupted_code_with_one_text():
+    for code in _corrupted():
+        texts = []
+        for walk in (expand, lambda c: verify_snake(c, "kendall"), lambda c: verify_snake(c, "linf")):
+            with pytest.raises(ValueError) as info:
+                walk(code)
+            texts.append(str(info.value))
+        assert texts[0].startswith(("codeword at rank ", "cyclic code does not close"))
+        assert texts == texts[:1] * 3
 
 
 def test_verify_c3_and_witness_reporting():

@@ -2,11 +2,14 @@
 
 import itertools
 import re
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permsnake import perm_core
 from permsnake.perm_core import (
     MAX_N,
     ball_maps,
@@ -187,6 +190,52 @@ def test_linf_distance_two_maps_are_lazy_at_largest_n():
     first = [f.translate(m) for m in itertools.islice(distance_two_maps("linf", MAX_N), 5)]
     assert len(set(first)) == 5
     assert all(linf_distance(p, tuple(g)) == 2 for g in first)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_linf_distance_two_maps_are_drawn_once_in_order(n):
+    fresh = list(perm_core._moving(n, 2))
+    perm_core._linf_two_maps.cache_clear()
+    assert list(distance_two_maps("linf", n)) == fresh
+    assert list(distance_two_maps("linf", n)) == fresh
+    perm_core._linf_two_maps.cache_clear()
+    # two passes at once, leapfrogging: each reads the map the other drew
+    # last, then draws one more
+    one, two = iter(distance_two_maps("linf", n)), iter(distance_two_maps("linf", n))
+    seen = ([next(one)], [])
+    for _ in range(len(fresh)):
+        for it, got in ((two, seen[1]), (one, seen[0])):
+            got.extend(itertools.islice(it, 2))
+    assert seen == (fresh, fresh)
+
+
+def test_linf_distance_two_maps_are_drawn_in_order_under_threads():
+    fresh = list(perm_core._moving(8, 2))
+    perm_core._linf_two_maps.cache_clear()
+    seen = [None] * 4
+
+    def take(k):
+        seen[k] = list(distance_two_maps("linf", 8))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=take, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [fresh] * 4
+
+
+def test_linf_distance_two_maps_draw_only_what_is_taken():
+    perm_core._linf_two_maps.cache_clear()
+    taken = list(itertools.islice(distance_two_maps("linf", MAX_N), 5))
+    assert perm_core._linf_two_maps(MAX_N)._kept == taken
+    assert taken == list(itertools.islice(perm_core._moving(MAX_N, 2), 5))
 
 
 @pytest.mark.parametrize("n", range(2, 13))

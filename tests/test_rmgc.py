@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from permsnake.code_model import expand, word_ranks
+from permsnake.code_model import _ranks, expand
 from permsnake.perm_core import push_top
 from permsnake.rmgc import MAX_RMGC_N, build_rmgc
 
@@ -31,7 +31,7 @@ def test_complete_cycle_through_all_permutations(n):
     code = build_rmgc(n)
     assert code.cyclic
     assert code.size == math.factorial(n)
-    assert len(word_ranks(code)) == math.factorial(n)
+    assert len(_ranks(code)) == math.factorial(n)
     assert code.start == tuple(range(1, n + 1))
 
 
@@ -43,7 +43,7 @@ def test_canonical_form_ends_with_smallest_push(n):
 def test_degenerate_order_one():
     code = build_rmgc(1)
     assert expand(code) == ((1,),)
-    assert word_ranks(code) == {(1,): 0}
+    assert _ranks(code) == {(1,): 0}
     assert not code.cyclic
     assert code.transitions == ()
 
@@ -58,7 +58,7 @@ def test_rejects_out_of_range():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_rank_unrank_succ_round_trip(n):
     code = build_rmgc(n)
-    ranks = word_ranks(code)
+    ranks = _ranks(code)
     words = tuple(ranks)
     assert words == expand(code)
     for r, word in enumerate(words):
@@ -69,7 +69,7 @@ def test_rank_unrank_succ_round_trip(n):
 
 
 def test_rank_rejects_foreign_word():
-    ranks = word_ranks(build_rmgc(3))
+    ranks = _ranks(build_rmgc(3))
     assert (1, 2, 4) not in ranks
 
 
