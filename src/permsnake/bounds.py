@@ -27,8 +27,9 @@ __all__ = [
 
 
 def trivial_upper(n: int) -> int:
-    """n!/2: a Kendall snake is an independent set in a bipartite graph whose
-    larger side has n!/2 vertices."""
+    """n!/2: sigma and t_2 sigma (its first two entries swapped) are at
+    Kendall distance 1, and as t_2 is an involution fixing no word these
+    pairs split S_n: a code of minimum distance 2 holds at most one of each."""
     _require_int("n", n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
@@ -36,7 +37,10 @@ def trivial_upper(n: int) -> int:
 
 
 def linf_upper(n: int) -> int:
-    """Chebyshev bound: n! / 2^floor(n/2)."""
+    """Chebyshev bound n! / 2^floor(n/2): the words differing from sigma
+    only by swaps of the values 1 and 2, 3 and 4, ... (a fibre of one
+    perm_core.merge_maps table) are 2^floor(n/2) words pairwise at distance
+    <= 1, and a code of minimum distance 2 holds at most one of each class."""
     _require_int("n", n)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")

@@ -12,16 +12,15 @@ code, in C, indexes the codeword forms (perm_core.form) by rank: each push
 is a translate of the Kendall form, and each Chebyshev form is turned back
 from a Kendall one.  A ball is a form translated by the value maps
 perm_core.ball_maps.  Whether any pair is at distance 1 is decided first
-with a fraction of the ball lookups: under Kendall only the balls of the
-smaller parity class, none for a code of odd pushes; under Chebyshev the
-words meet in the middle of each ball map, 14 translates per codeword at
-n = 8 and 19 at n = 9 against balls of 33 and 54 (perm_core.meet_maps).
-Only an invalid code is then tested word by word in rank order, up to the
-lowest violating pair.  A valid code is probed for a pair at distance 2
-with the maps of perm_core.distance_two_maps, which under Chebyshev are
-drawn once per length and kept.  A plain pairwise loop remains as the test
-reference and as the fallback that finds the minimum distance of a snake
-with no pair at distance 2.
+with few lookups: under Kendall the balls of the smaller parity class,
+none for a code of odd pushes; under Chebyshev no ball but one translate
+per codeword by each table of perm_core.merge_maps (9 at n = 9, against a
+ball of 54).  Only an invalid code then has its lowest violating pair
+named.  A valid code is probed for a pair at distance 2 with the maps of
+perm_core.distance_two_maps, which under Chebyshev are drawn once per
+length and kept.  A plain pairwise loop remains as the test reference and
+as the fallback that finds the minimum distance of a snake with no pair at
+distance 2.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from operator import countOf
+from operator import countOf, ne
 from typing import Optional
 
 from .perm_core import (
@@ -42,7 +41,7 @@ from .perm_core import (
     form,
     kendall_distance,
     linf_distance,
-    meet_maps,
+    merge_maps,
     push_top,
 )
 
@@ -183,42 +182,52 @@ _FLIPS = bytes(1 - t % 2 for t in range(256))
 _NOT = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
-def _first_neighbour(index: dict[bytes, int], metric: str, parities: bytes) -> Optional[bytes]:
-    """The first word in rank order, keyed by form, at distance 1 from
-    another word, or None.
-
-    A word is at distance 1 from another exactly when it is in images or
-    one of its translates by maps is in meet.  Under Kendall, meet holds
-    the words and maps is the ball; a ball map swaps two adjacent values,
-    so it links words of opposite parity, and the balls of the smaller
-    class alone tell whether there is such a pair at all (a code of odd
-    pushes alone has none to look up).  Under Chebyshev the pairs meet in
-    the middle (perm_core.meet_maps): meet holds the words and their high
-    images, at most 7 keys per codeword, images those high images that are
-    words, and maps the low maps.  Each map is tried on every word at once;
-    only when one finds a pair is each word tested in rank order.
-    """
-    n = len(next(iter(index)))
+def _first_neighbour(index: dict[bytes, int], parities: bytes) -> Optional[bytes]:
+    """The first Kendall word in rank order, keyed by form, at distance 1
+    from another word, or None.  A ball map swaps two adjacent values, so it
+    links words of opposite parity: each map tried on every word of the
+    smaller class at once tells whether there is such a pair (a code of odd
+    pushes has none to look up), and only then is each word tested."""
     keys = index.keys()
-    if metric == "kendall":
-        if 2 * parities.count(1) > len(parities):
-            parities = parities.translate(_NOT)
-        words, maps = list(itertools.compress(index, parities)), ball_maps(metric, n)
-        meet, images = keys, ()
-    else:
-        high, maps = meet_maps(n)
-        meet = set()
-        for m in high:
-            meet.update(map(bytes.translate, index, itertools.repeat(m)))
-        images = meet.intersection(index)
-        meet.update(index)
-        words = index
-    if not images and all(
-        meet.isdisjoint(map(bytes.translate, words, itertools.repeat(m))) for m in maps
-    ):
+    maps = ball_maps("kendall", len(next(iter(keys))))
+    if 2 * parities.count(1) > len(parities):
+        parities = parities.translate(_NOT)
+    words = list(itertools.compress(index, parities))
+    if all(keys.isdisjoint(map(bytes.translate, words, itertools.repeat(m))) for m in maps):
         return None
-    near = (f for f in index if f in images or not meet.isdisjoint(map(f.translate, maps)))
-    return next(near, None)
+    return next(f for f in index if not keys.isdisjoint(map(f.translate, maps)))
+
+
+def _first_recurring(index: dict[bytes, int], table: bytes) -> int:
+    """The least rank whose word translated by table is another's too, else len(index)."""
+    merged = list(map(bytes.translate, index, itertools.repeat(table)))
+    last = dict(zip(merged, itertools.count()))
+    if len(last) == len(merged):
+        return len(merged)
+    recurs = map(ne, map(last.__getitem__, merged), itertools.count())
+    return next(itertools.compress(itertools.count(), recurs))
+
+
+def _first_merged(index: dict[bytes, int]) -> Optional[bytes]:
+    """The first Chebyshev word in rank order at distance 1 from another,
+    or None.  Such pairs are those a table of perm_core.merge_maps merges,
+    so each table is tried on every word at once.  The least rank i merged
+    under the first table that merges any bounds the answer: the balls of
+    ranks up to i are tested in rank order, or, where that takes more
+    lookups than the tables left take translates, i is lowered to the least
+    merged rank under each of those."""
+    m, n = len(index), len(next(iter(index)))
+    tables = merge_maps(n)
+    hit = next((k for k, t in enumerate(tables)
+                if len(set(map(bytes.translate, index, itertools.repeat(t)))) < m), None)
+    if hit is None:
+        return None
+    i, rest, ball = _first_recurring(index, tables[hit]), tables[hit + 1 :], ball_maps("linf", n)
+    if i * len(ball) < len(rest) * m:
+        keys = index.keys()
+        return next(f for f in index if not keys.isdisjoint(map(f.translate, ball)))
+    i = min((i, *(_first_recurring(index, t) for t in rest)))
+    return next(itertools.islice(index, i, None))
 
 
 def _verify_words(index: dict[bytes, int], metric: str, parities: bytes) -> SnakeReport:
@@ -226,15 +235,16 @@ def _verify_words(index: dict[bytes, int], metric: str, parities: bytes) -> Snak
     parities[r] is the parity (0 or 1) of rank r, read under Kendall only.
 
     The lowest violating pair is the least rank i at distance 1 from
-    another word, with the least rank j in its ball.  One pair at distance
-    2 fixes a snake's minimum at 2.  The probe for one translates every form
+    another word (_first_neighbour under Kendall, _first_merged under
+    Chebyshev), with the least rank j in its ball.  One pair at distance 2
+    fixes a snake's minimum at 2.  The probe for one translates every form
     by one distance-2 map at a time, at most (M - 1) // 2 maps for M words,
     so no more lookups than there are pairs; the pairwise loop runs when it
     finds none.
     """
     keys = index.keys()
     n = len(next(iter(keys)))
-    f = _first_neighbour(index, metric, parities)
+    f = _first_neighbour(index, parities) if metric == "kendall" else _first_merged(index)
     if f is not None:
         j = min(index[g] for g in map(f.translate, ball_maps(metric, n)) if g in keys)
         return SnakeReport(False, metric, 1, (index[f], j))

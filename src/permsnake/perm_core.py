@@ -10,8 +10,9 @@ Conventions used across the package:
 - n is capped at MAX_N = 20 so ranks and code sizes stay inside 64-bit range
   (20! < 2**62).
 - The closed radius-1 ball of sigma is sigma plus form(metric, sigma) translated
-  by each value map of ball_maps(metric, n); search and verify share it, and
-  meet_maps splits the Chebyshev one in two for verify.
+  by each value map of ball_maps(metric, n); search and verify share it.
+  verify asks instead whether any two words agree under one of the merge
+  tables of merge_maps(n), which tell Chebyshev distance <= 1 at once.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ __all__ = [
     "identity",
     "kendall_distance",
     "linf_distance",
-    "meet_maps",
+    "merge_maps",
     "parse_perm",
     "push_top",
     "sign",
@@ -183,21 +184,19 @@ PUSH_MAPS = {t: bytes.maketrans(bytes(range(1, t + 1)), bytes((*range(2, t + 1),
              for t in range(2, MAX_N + 1)}
 
 
-def _moving(n: int, reach: int, images: Perm = (), used: int = 0,
-            first: int = 1) -> Iterator[bytes]:
-    """Lazily, the value maps of first..n moving some value by reach and none
-    by more, that send first, first+1, ... to images, whose values are the
-    bits of used."""
-    v = first + len(images)
+def _moving(n: int, reach: int, images: Perm = (), used: int = 0) -> Iterator[bytes]:
+    """Lazily, the value maps of [n] moving some value by reach and none by
+    more, that send 1, 2, ... to images, whose values are the bits of used."""
+    v = len(images) + 1
     if v > n:
-        if any(abs(u - w) == reach for w, u in enumerate(images, first)):
-            yield bytes.maketrans(bytes(range(first, n + 1)), bytes(images))
+        if any(abs(u - w) == reach for w, u in enumerate(images, 1)):
+            yield bytes.maketrans(bytes(range(1, n + 1)), bytes(images))
         return
     low = v - reach  # no value above v reaches low, so v must if none has
-    forced = low >= first and not used >> low & 1
-    for u in (low,) if forced else range(max(first, low), min(n, v + reach) + 1):
+    forced = low >= 1 and not used >> low & 1
+    for u in (low,) if forced else range(max(1, low), min(n, v + reach) + 1):
         if not used >> u & 1:
-            yield from _moving(n, reach, images + (u,), used | 1 << u, first)
+            yield from _moving(n, reach, images + (u,), used | 1 << u)
 
 
 @lru_cache(maxsize=None)
@@ -219,48 +218,33 @@ def ball_maps(metric: str, n: int) -> tuple[bytes, ...]:
     return tuple(_moving(n, 1))
 
 
-# sends 1..MAX_N above MAX_N, so a tagged word never equals an untagged one
-_TAG = bytes.maketrans(bytes(range(1, MAX_N + 1)), bytes(range(129, 129 + MAX_N)))
+def _matchings(n: int, v: int = 1) -> Iterator[tuple[int, ...]]:
+    """The maximal matchings of the path v..n, v - 1 being matched, as the
+    lower ends u of their pairs (u, u+1): no two unmatched values in a row."""
+    if v >= n:
+        yield ()
+        return
+    for u in range(v, min(v + 2, n)):
+        for rest in _matchings(n, u + 2):
+            yield (u, *rest)
 
 
 @lru_cache(maxsize=None)
-def meet_maps(n: int) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
-    """The Chebyshev ball at length n split at the value k = n - 4, as
-    (high, low) tables for a meet in the middle.  A ball map m is a
-    nonempty product of disjoint swaps of adjacent values, so either
-    m = l*h, l swapping values within 1..k and h within k+1..n, or
-    m = l*(k k+1)*h, l within 1..k-1 and h within k+2..n.  The parts commute
-    and are involutions, so b = m(a) exactly when l(b) = h(a), or
-    l(b) = (k k+1)*h(a).  high holds each h but the identity, then each
-    (k k+1)*h tagged (every value plus 128); low holds each l but the
-    identity, then each l of the second case tagged.  So a word is at
-    distance 1 from another exactly when it is the image of another under
-    some untagged high map, or one of its low images is a high image of
-    another or, untagged, another itself.
+def merge_maps(n: int) -> tuple[bytes, ...]:
+    """One bytes.translate table per maximal matching of the path 1-...-n,
+    sending u+1 to u for each of its pairs (u, u+1).  Words at Chebyshev
+    distance 1 differ by disjoint swaps of adjacent values, a matching that
+    lies in a maximal one: two distinct words are at distance 1 exactly
+    when some table sends both to the same bytes.  a(n) = a(n-2) + a(n-3)
+    tables (Padovan): 5 at n = 7, 9 at n = 9, 12 at n = 10, 200 at n = 20.
 
-    high has 7 tables: the high images of a code hold at most 7 keys per
-    codeword.  low has Fibonacci(n - 2) - 1: 7 at n = 8, 12 at n = 9 and
-    2,583 at n = 20, against ball sizes of 33, 54 and 10,945.  Splitting
-    lower would shorten low at large n, but each high image is kept, which
-    costs memory and more time than a lookup.  Below n = 7 the split saves
-    too little to pay for its set: high is empty and low is the ball.
-
-    >>> high, low = meet_maps(7)
-    >>> a, b = form("linf", (1, 2, 3, 4, 5, 6, 7)), form("linf", (2, 1, 3, 4, 6, 5, 7))
-    >>> [tuple(f) for f in {a.translate(m) for m in high} & {b.translate(m) for m in low}]
-    [(1, 2, 3, 4, 6, 5, 7)]
-    >>> len(high), len(low), len(ball_maps("linf", 7)), meet_maps(6) == ((), ball_maps("linf", 6))
-    (7, 4, 20, True)
+    >>> [tuple(m[1:6]) for m in merge_maps(5)]
+    [(1, 1, 3, 3, 5), (1, 1, 3, 4, 4), (1, 2, 2, 4, 4)]
+    >>> a, b = form("linf", (2, 1, 3, 5, 4)), form("linf", (1, 2, 3, 4, 5))
+    >>> [a.translate(m) == b.translate(m) for m in merge_maps(5)]
+    [False, True, False]
     """
-    if n < 7:
-        return (), ball_maps("linf", n)
-    k = n - 4
-    swap = bytes.maketrans(bytes((k, k + 1)), bytes((k + 1, k)))
-    ident = bytes(range(256))
-    across = (ident, *_moving(n, 1, first=k + 2))
-    high = (*_moving(n, 1, first=k + 1), *(h.translate(swap).translate(_TAG) for h in across))
-    low = (*_moving(k, 1), *(m.translate(_TAG) for m in (ident, *_moving(k - 1, 1))))
-    return high, low
+    return tuple(bytes.maketrans(bytes(u + 1 for u in low), bytes(low)) for low in _matchings(n))
 
 
 def distance_two_maps(metric: str, n: int) -> Iterable[bytes]:

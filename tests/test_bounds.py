@@ -1,5 +1,6 @@
 """Upper bounds, densities, and the summary table."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,7 +13,14 @@ from permsnake.bounds import (
     trivial_upper,
 )
 from permsnake.ksnake import ksnake_size
-from permsnake.perm_core import identity
+from permsnake.perm_core import (
+    form,
+    identity,
+    kendall_distance,
+    linf_distance,
+    merge_maps,
+    push_top,
+)
 
 
 def test_trivial_upper_is_half_factorial():
@@ -26,6 +34,28 @@ def test_linf_upper_pinned_values():
 def test_linf_upper_closed_form():
     for n in range(2, 15):
         assert linf_upper(n) == math.factorial(n) // 2 ** (n // 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_upper_bounds_partition_the_group_into_cliques(n):
+    # each bound is the number of classes of a partition of S_n whose
+    # members are pairwise at distance 1 (<= 1 under Chebyshev), so a snake
+    # holds at most one word of each class
+    group = list(itertools.permutations(range(1, n + 1)))
+    pairs = {frozenset((s, push_top(2, s))) for s in group}
+    assert len(pairs) == trivial_upper(n)
+    assert all(len(p) == 2 and kendall_distance(*p) == 1 for p in pairs)
+    classes = {}
+    for s in group:
+        classes.setdefault(tuple((v + 1) // 2 for v in s), []).append(s)
+    assert len(classes) == linf_upper(n)
+    fibres = {}  # under the merge table sending 2 to 1, 4 to 3, ...
+    for s in group:
+        fibres.setdefault(form("linf", s).translate(merge_maps(n)[0]), []).append(s)
+    assert sorted(fibres.values()) == sorted(classes.values())
+    for members in classes.values():
+        assert len(members) == 2 ** (n // 2)
+        assert all(linf_distance(a, b) == 1 for a, b in itertools.combinations(members, 2))
 
 
 def test_density_pinned_values():

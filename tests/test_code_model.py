@@ -203,10 +203,9 @@ def test_ball_lookup_matches_pairwise_on_every_two_word_list(metric):
             assert _verify_list(words, metric) == _verify_pairs(words, metric)
 
 
-def test_chebyshev_meet_matches_pairwise_around_one_word():
-    # n = 7 is the least length split into low and high sides: every word
-    # beside one fixed word, in either order, so each ball map and every
-    # other offset is met once
+def test_chebyshev_merge_matches_pairwise_around_one_word():
+    # every word beside one fixed word at n = 7, in either order, so each
+    # ball map and every other offset is met once
     a = (3, 6, 1, 7, 4, 2, 5)
     for b in itertools.permutations(range(1, 8)):
         if b != a:
@@ -288,6 +287,43 @@ def test_long_chebyshev_walk_at_largest_n():
         assert time.perf_counter() - began < 1.0
         assert reports[-1] == _verify_pairs(reference, "linf")
     assert [report.valid for report in reports] == [True, False]
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_chebyshev_witness_under_either_search(monkeypatch, late):
+    # random words at n = 12 and two planted pairs at distance 1: a word
+    # with values 1, 2 swapped, merged by the first table, and an earlier
+    # one with 2, 3 swapped, merged only by a later table.  An early first
+    # merged rank leads to a rank-order ball scan, after one merged rank is
+    # found; a late one to the first merged rank under each later table
+    rng = random.Random(12)
+    words = list(dict.fromkeys(tuple(rng.sample(range(1, 13), 12)) for _ in range(300)))
+    for r, (u, w) in ((200, (1, 2)), (100, (2, 3))) if late else ((3, (1, 2)), (1, (2, 3))):
+        words.append(tuple({u: w, w: u}.get(v, v) for v in words[r]))
+    words = tuple(words)
+    calls, first = [], code_model._first_recurring
+    monkeypatch.setattr(code_model, "_first_recurring",
+                        lambda index, table: calls.append(table) or first(index, table))
+    report = _verify_list(words, "linf")
+    assert report == _verify_pairs(words, "linf")
+    assert report.witness[0] == (100 if late else 1)
+    assert (len(calls) > 1) == late
+
+
+@pytest.mark.parametrize("cut", [None, 152])
+def test_chebyshev_witness_of_an_early_and_a_late_pair(cut):
+    # build_rmgc(7) first violates at rank 0; build_linf_snake(8) cut at
+    # rank 152 and ended by t_8 first violates at rank 113, late in its 154
+    if cut is None:
+        code = build_rmgc(7)
+    else:
+        full = build_linf_snake(8)
+        code = GrayCode(8, full.start, full.transitions[:cut] + (8,), False)
+    began = time.perf_counter()
+    report = verify_snake(code, "linf")
+    assert time.perf_counter() - began < 1.0
+    assert report == _verify_pairs(expand(code), "linf")
+    assert report.witness[0] == (0 if cut is None else 113)
 
 
 def _fixtures():

@@ -20,7 +20,7 @@ from permsnake.perm_core import (
     identity,
     kendall_distance,
     linf_distance,
-    meet_maps,
+    merge_maps,
     parse_perm,
     push_top,
     sign,
@@ -238,29 +238,53 @@ def test_linf_distance_two_maps_draw_only_what_is_taken():
     assert taken == list(itertools.islice(perm_core._moving(MAX_N, 2), 5))
 
 
-@pytest.mark.parametrize("n", range(2, 13))
-def test_meet_maps_factor_the_chebyshev_ball_once(n):
-    # an untagged low map times an untagged high map (not both the
-    # identity), or a tagged low map times a tagged high map, is each
-    # ball map exactly once; parts of one product move disjoint values
-    high, low = meet_maps(n)
-    assert len(high) <= 7
+def test_merge_maps_counts_follow_padovan():
+    assert [len(merge_maps(n)) for n in range(1, MAX_N + 1)] == [
+        1, 1, 2, 2, 3, 4, 5, 7, 9, 12, 16, 21, 28, 37, 49, 65, 86, 114, 151, 200
+    ]
 
-    def parts(tables, tagged):
-        picked = [tuple(v & 127 for v in m[1 : n + 1]) for m in tables if (m[1] > MAX_N) == tagged]
-        assert all(sorted(p) == list(range(1, n + 1)) for p in picked)
-        return picked + [tuple(range(1, n + 1))] * (not tagged)
 
-    def product(left, right):  # left after right
-        assert all(left[v - 1] == v or right[v - 1] == v for v in range(1, n + 1))
-        return tuple(left[v - 1] for v in right)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_merge_maps_are_the_maximal_matchings_of_the_path(n):
+    # each table sends u+1 to u for disjoint pairs (u, u+1) and fixes every
+    # other byte; the pairs of all tables are every maximal matching once
+    found = []
+    for m in merge_maps(n):
+        moved = [v for v in range(256) if m[v] != v]
+        assert all(2 <= v <= n and m[v] == v - 1 for v in moved)
+        lows = [v - 1 for v in moved]
+        assert all(b - a >= 2 for a, b in zip(lows, lows[1:]))
+        found.append(tuple(lows))
+    edges = range(1, n)
+    maximal = []
+    for size in range(n // 2 + 1):
+        for lows in itertools.combinations(edges, size):
+            if any(b - a < 2 for a, b in zip(lows, lows[1:])):
+                continue
+            covered = {v for u in lows for v in (u, u + 1)}
+            if all(u in covered or u + 1 in covered for u in edges):
+                maximal.append(lows)
+    assert len(found) == len(set(found))
+    assert sorted(found) == sorted(maximal)
 
-    ident = tuple(range(1, n + 1))
-    products = [product(lo, hi) for lo in parts(low, False) for hi in parts(high, False)]
-    products.remove(ident)
-    products += [product(lo, hi) for lo in parts(low, True) for hi in parts(high, True)]
-    ball = [m[1 : n + 1] for m in ball_maps("linf", n)]
-    assert sorted(products) == sorted(tuple(m) for m in ball)
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_merge_maps_tell_chebyshev_distance_one(n):
+    # both relations keep when the positions of a pair are permuted alike,
+    # so every pair is met as (identity, b); n <= 5 also walks every pair
+    tables = merge_maps(n)
+
+    def agree(a, b):
+        fa, fb = form("linf", a), form("linf", b)
+        return any(fa.translate(m) == fb.translate(m) for m in tables)
+
+    group = list(itertools.permutations(range(1, n + 1)))
+    ident = group[0]
+    for b in group:
+        assert agree(ident, b) == (linf_distance(ident, b) <= 1)
+    if n <= 5:
+        for a, b in itertools.product(group, repeat=2):
+            assert agree(a, b) == (linf_distance(a, b) <= 1)
 
 
 def test_kendall_distance_two_maps_are_one_cached_tuple():
