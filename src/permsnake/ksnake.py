@@ -49,7 +49,7 @@ from operator import countOf
 from typing import NamedTuple
 
 from .code_model import GrayCode, _ranks
-from .perm_core import MAX_N, Perm, check_perm, identity, push_top, sign
+from .perm_core import MAX_N, Perm, _require_int, check_perm, identity, push_top, sign
 
 __all__ = [
     "build_ksnake",
@@ -65,8 +65,7 @@ MAX_KSNAKE_N = 9
 @lru_cache(maxsize=None)
 def ksnake_size(N: int) -> int:
     """M_N: 3 for N = 3, else (N-2) * N * M_{N-2} (N odd, N >= 3)."""
-    if type(N) is not int:
-        raise ValueError(f"N must be an int, got {N!r}")
+    _require_int("N", N)
     if N < 3 or N % 2 == 0:
         raise ValueError(f"N must be odd and >= 3, got {N}")
     m = 3
@@ -113,8 +112,7 @@ def build_ksnake(N: int) -> GrayCode:
     Only the transition list is materialized (M_N integers); codewords come
     from code_model.expand on demand.  The first transition is t_N for N >= 5.
     """
-    if type(N) is not int:
-        raise ValueError(f"N must be an int, got {N!r}")
+    _require_int("N", N)
     if N % 2 == 0 or not 3 <= N <= MAX_KSNAKE_N:
         raise ValueError(f"N must be odd with 3 <= N <= {MAX_KSNAKE_N}, got {N}")
     if N == 3:

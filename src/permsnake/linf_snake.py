@@ -43,7 +43,7 @@ from operator import countOf
 from typing import NamedTuple
 
 from .code_model import GrayCode, expand, verify_snake
-from .perm_core import Perm, check_perm, identity, push_top
+from .perm_core import Perm, _require_int, check_perm, identity, push_top
 from .rmgc import build_rmgc
 
 __all__ = [
@@ -64,8 +64,7 @@ MAX_LINF_N = 10
 def linf_size(n: int, variant: str = "odd-top") -> int:
     """Codeword count of build_linf_snake(n, variant); the closed form holds
     beyond MAX_LINF_N too."""
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+    _require_int("n", n)
     if n < MIN_LINF_N:
         raise ValueError(f"n must be >= {MIN_LINF_N}, got {n}")
     if variant not in VARIANTS:
@@ -102,8 +101,7 @@ def build_linf_snake(n: int, variant: str = "odd-top") -> GrayCode:
     The result is verified at build time (pairwise distance >= 2 over all
     codewords); construction bugs surface here, not downstream.
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+    _require_int("n", n)
     if not MIN_LINF_N <= n <= MAX_LINF_N:
         raise ValueError(f"n must be in {MIN_LINF_N}..{MAX_LINF_N}, got {n}")
     if variant not in VARIANTS:

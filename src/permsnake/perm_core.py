@@ -247,6 +247,7 @@ def merge_maps(n: int) -> tuple[bytes, ...]:
     return tuple(bytes.maketrans(bytes(u + 1 for u in low), bytes(low)) for low in _matchings(n))
 
 
+@lru_cache(maxsize=None)
 def distance_two_maps(metric: str, n: int) -> Iterable[bytes]:
     """Maps as in ball_maps to each permutation at distance exactly 2: the
     products of two Kendall ball maps, as one cached tuple, or the maps that
@@ -261,8 +262,9 @@ def distance_two_maps(metric: str, n: int) -> Iterable[bytes]:
     [(2, 3, 1), (3, 1, 2), (3, 2, 1)]
     """
     if metric == "linf":
-        return _linf_two_maps(n)
-    return _kendall_two_maps(n)
+        return _Drawn(_moving(n, 2))
+    ball = ball_maps("kendall", n)  # a.translate(b) is the table of b after a
+    return tuple(dict.fromkeys(a.translate(b) for a in ball for b in ball if a != b))
 
 
 class _Drawn:
@@ -285,17 +287,6 @@ class _Drawn:
                             return
                         kept.append(item)
             yield kept[k]
-
-
-@lru_cache(maxsize=None)
-def _linf_two_maps(n: int) -> _Drawn:
-    return _Drawn(_moving(n, 2))
-
-
-@lru_cache(maxsize=None)
-def _kendall_two_maps(n: int) -> tuple[bytes, ...]:
-    ball = ball_maps("kendall", n)  # a.translate(b) is the table of b after a
-    return tuple(dict.fromkeys(a.translate(b) for a in ball for b in ball if a != b))
 
 
 def parse_perm(text: str) -> Perm:

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import factorial
 
 from .code_model import GrayCode, expand
-from .perm_core import identity
+from .perm_core import _require_int, identity
 
 __all__ = ["build_rmgc"]
 
@@ -57,8 +57,7 @@ def build_rmgc(n: int) -> GrayCode:
 
     The order-1 code is the degenerate single codeword (no transitions).
     """
-    if type(n) is not int:
-        raise ValueError(f"n must be an int, got {n!r}")
+    _require_int("n", n)
     if not 1 <= n <= MAX_RMGC_N:
         raise ValueError(f"build_rmgc supports 1 <= n <= {MAX_RMGC_N}, got {n}")
     if n == 1:

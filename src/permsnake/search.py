@@ -5,13 +5,16 @@ an explicit stack.  Its tables, built once per call, cover the orbit of the
 start under the allowed pushes and nothing else, because no code through the
 start leaves it: the odd pushes t_3, t_5, ... reach at most the n!/2
 permutations of the start's parity, and a single push t_k only k of them.
-The orbit is found breadth-first on byte forms (perm_core.form), which the
-pushes step in C.  A state's row lists its children by ascending push, less a
-t_2 child inside the state's own radius-1 ball, which is never legal.  A
-node is a state the search accepts as the next codeword, and the node budget
-counts nodes.  Placing a node increments a blocked-counter at every state of
-its closed ball, built the first time the search places the state, so a
-child is free, a candidate node, exactly when its counter is zero.
+The orbit is found breadth-first on Kendall forms (perm_core.form) under
+either metric, each push one value map applied in C, and a Chebyshev state's
+word is turned back from its form once after the pass, so the push graph is
+the same for both metrics and every start.  A state's row lists its children
+by ascending push, less a t_2 child inside the state's own radius-1 ball,
+which is never legal.  A node is a state the search accepts as the next
+codeword, and the node budget counts nodes.  Placing a node increments a
+blocked-counter at every state of its closed ball, built the first time the
+search places the state, so a child is free, a candidate node, exactly when
+its counter is zero.
 
 Before placing a node the search scans its row for a free child.  Placing it
 moves no child's counter, as its children lie outside its ball, and each
@@ -56,7 +59,7 @@ from typing import Callable, Iterator, Optional
 
 from .bounds import linf_upper, trivial_upper
 from .code_model import GrayCode
-from .perm_core import PUSH_MAPS, Perm, ball_maps, check_perm, form, identity
+from .perm_core import PUSH_MAPS, Perm, _require_int, ball_maps, check_perm, form, identity
 
 __all__ = ["SearchResult", "SearchSpec", "longest_snake"]
 
@@ -77,8 +80,7 @@ class SearchSpec:
     node_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int:
-            raise ValueError(f"n must be an int, got {self.n!r}")
+        _require_int("n", self.n)
         if not 2 <= self.n <= MAX_SEARCH_N:
             raise ValueError(f"search supports 2 <= n <= {MAX_SEARCH_N}, got {self.n}")
         if self.metric not in ("kendall", "linf"):
@@ -101,11 +103,11 @@ class SearchSpec:
         if len(start) != self.n:
             raise ValueError(f"start {start} has length {len(start)}, but n is {self.n}")
         object.__setattr__(self, "start", start)
-        if self.node_budget is not None and type(self.node_budget) is not int:
-            raise ValueError(f"node_budget must be an int, got {self.node_budget!r}")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError(f"node_budget must be positive, got {self.node_budget}")
-        if self.node_budget is None and self.n > MAX_EXHAUSTIVE_N:
+        if self.node_budget is not None:
+            _require_int("node_budget", self.node_budget)
+            if self.node_budget < 1:
+                raise ValueError(f"node_budget must be positive, got {self.node_budget}")
+        elif self.n > MAX_EXHAUSTIVE_N:
             raise ValueError(
                 f"exhaustive search is capped at n <= {MAX_EXHAUSTIVE_N}; "
                 "set node_budget for larger n"
@@ -139,27 +141,32 @@ def _build_tables(spec: SearchSpec) -> tuple[
     a t_2 child inside state i's ball, never legal, as state i stays placed
     while its children are tried; closing[i] is the push that returns state i
     to the start, 0 if none, and closers the states with a closing push, in
-    alphabet order."""
+    alphabet order.  The push graph, columns, closing and closers, depends
+    only on n and the alphabet: the metric and the start enter only through
+    the balls and the Chebyshev t_2 filter of the rows."""
     alphabet, metric, kendall = spec.allowed_transitions, spec.metric, spec.metric == "kendall"
-    # A state is its byte form (perm_core.form), which a push steps in C: a
-    # value map on a Kendall form, three slices joined on a Chebyshev word.
-    cuts = [itemgetter(slice(t - 1, t), slice(t - 1), slice(t, None)) for t in alphabet]
-    # Breadth-first from the start: setdefault gives each state its number,
-    # and a state reached for the first time the next one, len(index), which
-    # numbers reads just before each call.  A level is a run of consecutive
-    # numbers, so each column lists its push's children in state order.
-    index = {form(metric, spec.start): 0}
+    # Breadth-first from the start on Kendall forms (perm_core.form), which a
+    # push steps in C by one value map: setdefault gives each state its
+    # number, and a state reached for the first time the next one,
+    # len(index), which numbers reads just before each call.  A level is a
+    # run of consecutive numbers, so each column lists its push's children in
+    # state order.
+    index = {form("kendall", spec.start): 0}
     numbers = iter(index.__len__, -1)
     columns: list[list[int]] = [[] for _ in alphabet]
     level = list(index)
     while level:
         reached = len(index)
-        for column, t, cut in zip(columns, alphabet, cuts):
-            pushed = (map(bytes.translate, level, itertools.repeat(PUSH_MAPS[t])) if kendall
-                      else map(b"".join, map(cut, level)))
+        for column, t in zip(columns, alphabet):
+            pushed = map(bytes.translate, level, itertools.repeat(PUSH_MAPS[t]))
             column += map(index.setdefault, pushed, numbers)
         level = list(itertools.islice(index, reached, None))
     forms = list(index)
+    if not kendall:
+        # a Chebyshev state is its word, the form of its Kendall form
+        ident = bytes(range(1, spec.n + 1))
+        forms = list(map(ident.translate, map(bytes.maketrans, forms, itertools.repeat(ident))))
+        index = dict(zip(forms, itertools.count()))
     # t >= 3 moves a value t-1 >= 2 places; t_2 swaps the first two entries, a
     # neighbour under Kendall, and under Chebyshev if they are adjacent values.
     # Kendall t_2 alone reaches two states, and lists no child of either.
@@ -179,10 +186,8 @@ def _build_tables(spec: SearchSpec) -> tuple[
     def ball(i: int) -> tuple[int, ...]:
         members = balls[i] = (i, *filter(None, map(get, map(forms[i].translate, maps))))
         return members
-    # t pushes s[1:t] + s[:1] + s[t:] to s, and no other state; it is in the
-    # orbit, because t applied t-1 times to s gives it.
-    s = spec.start
-    closers = [index[form(metric, s[1:t] + s[:1] + s[t:])] for t in alphabet]
+    # A push permutes the orbit, so exactly one state pushes to the start.
+    closers = [column.index(0) for column in columns]
     closing = [0] * len(forms)
     for t, c in zip(alphabet, closers):
         closing[c] = t
@@ -231,7 +236,7 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
         free_closers = itemgetter(*closers[offset:], closers[-1])
         if cyclic and 0 not in free_closers(blocked):
             continue
-        moves = rows if offset <= skip else [row[offset - skip:] for row in rows]
+        moves = rows if offset <= skip else list(zip(*columns[offset:]))
         # One entry (state, its untried siblings) per placed state; children
         # iterates the top state's untried children (the start's: push f).
         stack: list[tuple[int, Iterator[int]]] = []

@@ -195,10 +195,10 @@ def test_linf_distance_two_maps_are_lazy_at_largest_n():
 @pytest.mark.parametrize("n", range(3, 11))
 def test_linf_distance_two_maps_are_drawn_once_in_order(n):
     fresh = list(perm_core._moving(n, 2))
-    perm_core._linf_two_maps.cache_clear()
+    distance_two_maps.cache_clear()
     assert list(distance_two_maps("linf", n)) == fresh
     assert list(distance_two_maps("linf", n)) == fresh
-    perm_core._linf_two_maps.cache_clear()
+    distance_two_maps.cache_clear()
     # two passes at once, leapfrogging: each reads the map the other drew
     # last, then draws one more
     one, two = iter(distance_two_maps("linf", n)), iter(distance_two_maps("linf", n))
@@ -211,7 +211,7 @@ def test_linf_distance_two_maps_are_drawn_once_in_order(n):
 
 def test_linf_distance_two_maps_are_drawn_in_order_under_threads():
     fresh = list(perm_core._moving(8, 2))
-    perm_core._linf_two_maps.cache_clear()
+    distance_two_maps.cache_clear()
     seen = [None] * 4
 
     def take(k):
@@ -232,9 +232,9 @@ def test_linf_distance_two_maps_are_drawn_in_order_under_threads():
 
 
 def test_linf_distance_two_maps_draw_only_what_is_taken():
-    perm_core._linf_two_maps.cache_clear()
+    distance_two_maps.cache_clear()
     taken = list(itertools.islice(distance_two_maps("linf", MAX_N), 5))
-    assert perm_core._linf_two_maps(MAX_N)._kept == taken
+    assert distance_two_maps("linf", MAX_N)._kept == taken
     assert taken == list(itertools.islice(perm_core._moving(MAX_N, 2), 5))
 
 

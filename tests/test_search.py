@@ -332,13 +332,15 @@ def _row_cases():
     for n, metric in itertools.product(range(3, 7), ("kendall", "linf")):
         full = tuple(range(2, n + 1))
         for alphabet in dict.fromkeys((full, (2, n), (2,), full[1:])):
-            yield pytest.param(SearchSpec(n, metric, allowed_transitions=alphabet),
-                               id=f"{metric}{n}_p{''.join(map(str, alphabet))}")
+            name = f"{metric}{n}_p{''.join(map(str, alphabet))}"
+            yield pytest.param(SearchSpec(n, metric, allowed_transitions=alphabet), id=name)
+            yield pytest.param(SearchSpec(n, metric, allowed_transitions=alphabet,
+                                          start=tuple(range(n, 0, -1))), id=f"{name}_down")
 
 
 @pytest.mark.parametrize("spec", _row_cases())
 def test_rows_leave_out_exactly_the_t2_children_in_the_ball(spec):
-    balls, _, columns, rows, _, _ = _build_tables(spec)
+    balls, _, columns, rows, closing, closers = _build_tables(spec)
     assert len(rows) == len(balls) == _orbit_size(spec)
     # Number the states' permutations from the columns: a state is listed
     # after the state it was first reached from.
@@ -350,6 +352,11 @@ def test_rows_leave_out_exactly_the_t2_children_in_the_ball(spec):
     # the start's first moves keep one child per push, t_2 included
     assert [perms[column[0]] for column in columns] == [
         push_top(t, spec.start) for t in spec.allowed_transitions]
+    # each push returns exactly one state, its closer, to the start
+    for t, c in zip(spec.allowed_transitions, closers):
+        assert push_top(t, perms[c]) == spec.start
+    assert [i for i, t in enumerate(closing) if t] == sorted(set(closers))
+    assert all(closing[c] == t for t, c in zip(spec.allowed_transitions, closers))
     maps = ball_maps(spec.metric, spec.n)
     for i, row in enumerate(rows):
         ball = {form(spec.metric, perms[i]).translate(m) for m in maps}
@@ -359,6 +366,25 @@ def test_rows_leave_out_exactly_the_t2_children_in_the_ball(spec):
             (left_out if inside else kept).append((t, column[i]))
         assert row == tuple(c for _, c in kept)
         assert all(t == 2 for t, _ in left_out)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_push_graph_is_the_same_for_both_metrics_and_every_start(n):
+    # The orbit is walked on Kendall forms, where a push acts the same way
+    # from any start, so only the balls and the rows see the metric.  Kendall
+    # balls are value maps on the same forms, so they see no start either.
+    starts = [tuple(range(1, n + 1))]
+    starts += [tuple(random.Random(seed).sample(starts[0], n)) for seed in (1, 2)]
+    for k in range(1, n):
+        for alphabet in itertools.combinations(range(2, n + 1), k):
+            graphs, kendall_tables = set(), set()
+            for metric, start in itertools.product(("kendall", "linf"), starts):
+                balls, ball, columns, rows, closing, closers = _build_tables(
+                    SearchSpec(n, metric, allowed_transitions=alphabet, start=start))
+                graphs.add(repr((columns, closing, closers)))
+                if metric == "kendall":
+                    kendall_tables.add(repr((rows, [ball(i) for i in range(len(balls))])))
+            assert len(graphs) == len(kendall_tables) == 1, alphabet
 
 
 def _oracle(spec):
