@@ -234,9 +234,9 @@ def _cmd_search(args) -> int:
     if args.exhaustive and args.budget is not None:
         raise ValueError("--exhaustive and --budget are mutually exclusive")
     budget = args.budget
-    if budget is None and not args.exhaustive and args.n >= 6:
+    defaulted = budget is None and not args.exhaustive and args.n >= 6
+    if defaulted:
         budget = DEFAULT_NODE_BUDGET
-        _note(f"n >= 6: defaulting to node budget {budget} (use --exhaustive to override)")
     start = parse_perm(args.start) if args.start is not None else None
     spec = SearchSpec(
         n=args.n,
@@ -246,6 +246,8 @@ def _cmd_search(args) -> int:
         start=start,
         node_budget=budget,
     )
+    if defaulted:  # only once the spec is accepted
+        _note(f"n >= 6: defaulting to node budget {budget} (use --exhaustive to override)")
     result = longest_snake(spec)
     best = None
     if result.best is not None:

@@ -237,6 +237,15 @@ def test_search_rejects_an_empty_flag_value(capsys, flag, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("metric", ["kendall", "linf"])
+def test_search_out_of_range_n_prints_only_the_error(capsys, metric):
+    # the default-budget note belongs to a spec that is searched
+    assert run(["search", "--n", "9", "--metric", metric]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search supports 2 <= n <= 8, got 9\n"
+
+
 def test_search_exhaustive_and_budget_conflict(capsys):
     assert (
         run(

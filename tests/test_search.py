@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from permsnake.search import (
     SearchSpec,
     longest_snake,
     _build_tables,
+    _graphs,
 )
 
 
@@ -379,12 +381,53 @@ def test_push_graph_is_the_same_for_both_metrics_and_every_start(n):
         for alphabet in itertools.combinations(range(2, n + 1), k):
             graphs, kendall_tables = set(), set()
             for metric, start in itertools.product(("kendall", "linf"), starts):
+                _graphs.clear()  # kept tables would compare with themselves
                 balls, ball, columns, rows, closing, closers = _build_tables(
                     SearchSpec(n, metric, allowed_transitions=alphabet, start=start))
                 graphs.add(repr((columns, closing, closers)))
                 if metric == "kendall":
                     kendall_tables.add(repr((rows, [ball(i) for i in range(len(balls))])))
             assert len(graphs) == len(kendall_tables) == 1, alphabet
+
+
+def _cold_warm_cases():
+    for n in range(3, 8):
+        full = tuple(range(2, n + 1))
+        for alphabet in dict.fromkeys((full, (2, n), full[1::2])):
+            yield pytest.param(n, alphabet, id=f"{n}_p{''.join(map(str, alphabet))}")
+
+
+@pytest.mark.parametrize("n, alphabet", _cold_warm_cases())
+def test_kept_tables_give_the_results_of_fresh_ones(n, alphabet):
+    # Every call from a fresh table set, then every call again on the tables
+    # the others kept and filled: Kendall balls filled from one start serve
+    # the next, and a Chebyshev call builds its own.
+    ident = tuple(range(1, n + 1))
+    starts = [ident, ident[::-1], *(tuple(random.Random(seed).sample(ident, n)) for seed in (1, 2))]
+    specs = [SearchSpec(n, metric, cyclic, alphabet, start, node_budget=2000)
+             for metric, cyclic, start in itertools.product(("kendall", "linf"), (True, False), starts)]
+    cold = []
+    for spec in specs:
+        _graphs.clear()
+        cold.append(longest_snake(spec))
+    assert [longest_snake(spec) for spec in specs] == cold
+    assert list(_graphs) == [(n, alphabet)]
+
+
+def test_kept_tables_stay_within_one_s8_orbit():
+    _graphs.clear()
+    for n, alphabet in ((7, (2, 3, 4, 5, 6, 7)), (6, (2, 3, 4, 5, 6)), (8, (3, 5, 7))):
+        longest_snake(SearchSpec(n, "kendall", allowed_transitions=alphabet, node_budget=1))
+    # 5,040 + 720 + 20,160 states: all kept, least recently used first
+    assert list(_graphs) == [(7, (2, 3, 4, 5, 6, 7)), (6, (2, 3, 4, 5, 6)), (8, (3, 5, 7))]
+    longest_snake(SearchSpec(6, "linf", node_budget=1))
+    assert list(_graphs)[-1] == (6, (2, 3, 4, 5, 6))
+    # a whole S_8 orbit leaves room for nothing else
+    longest_snake(SearchSpec(8, "linf", node_budget=1))
+    assert list(_graphs) == [(8, tuple(range(2, 9)))]
+    longest_snake(SearchSpec(4, "kendall"))
+    assert list(_graphs) == [(4, (2, 3, 4))]
+    assert sum(len(graph.forms) for graph in _graphs.values()) <= math.factorial(MAX_SEARCH_N)
 
 
 def _oracle(spec):
