@@ -210,6 +210,8 @@ _KEPT_STATES = math.factorial(MAX_SEARCH_N)
 
 
 def _push_graph(n: int, alphabet: tuple[int, ...]) -> _PushGraph:
+    """The kept graph of n and the sorted alphabet, built on a miss, which
+    drops the least recently used graphs until the rest fit the bound."""
     key = n, alphabet
     with _graphs_lock:
         graph = _graphs.get(key)

@@ -237,13 +237,22 @@ def test_search_rejects_an_empty_flag_value(capsys, flag, message):
     assert message in captured.err
 
 
-@pytest.mark.parametrize("metric", ["kendall", "linf"])
-def test_search_out_of_range_n_prints_only_the_error(capsys, metric):
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--n", "9", "--metric", "kendall"], "search supports 2 <= n <= 8, got 9"),
+        (["--n", "9", "--metric", "linf"], "search supports 2 <= n <= 8, got 9"),
+        (["--n", "6", "--metric", "kendall", "--start", "[1,1,2,3,4,5]"],
+         "not a permutation of 1..n (n <= 20): (1, 1, 2, 3, 4, 5)"),
+    ],
+    ids=["kendall9", "linf9", "kendall6_bad_start"],
+)
+def test_search_refused_spec_prints_only_the_error(capsys, argv, error):
     # the default-budget note belongs to a spec that is searched
-    assert run(["search", "--n", "9", "--metric", metric]) == 2
+    assert run(["search", *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: search supports 2 <= n <= 8, got 9\n"
+    assert captured.err == f"error: {error}\n"
 
 
 def test_search_exhaustive_and_budget_conflict(capsys):

@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -418,7 +420,8 @@ def test_kept_tables_stay_within_one_s8_orbit():
     _graphs.clear()
     for n, alphabet in ((7, (2, 3, 4, 5, 6, 7)), (6, (2, 3, 4, 5, 6)), (8, (3, 5, 7))):
         longest_snake(SearchSpec(n, "kendall", allowed_transitions=alphabet, node_budget=1))
-    # 5,040 + 720 + 20,160 states: all kept, least recently used first
+    # 5,040 + 720 + 2,520 states (t_3, t_5, t_7 fix the last entry): all
+    # kept, least recently used first
     assert list(_graphs) == [(7, (2, 3, 4, 5, 6, 7)), (6, (2, 3, 4, 5, 6)), (8, (3, 5, 7))]
     longest_snake(SearchSpec(6, "linf", node_budget=1))
     assert list(_graphs)[-1] == (6, (2, 3, 4, 5, 6))
@@ -427,6 +430,41 @@ def test_kept_tables_stay_within_one_s8_orbit():
     assert list(_graphs) == [(8, tuple(range(2, 9)))]
     longest_snake(SearchSpec(4, "kendall"))
     assert list(_graphs) == [(4, (2, 3, 4))]
+    assert sum(len(graph.forms) for graph in _graphs.values()) <= math.factorial(MAX_SEARCH_N)
+
+
+def test_kept_tables_hold_under_threads():
+    # Each insert of a small orbit drops the whole S_8 one and the next S_8
+    # call drops every small one, while threads switching every microsecond
+    # look up, build, evict and fill Kendall balls in the same tables.
+    specs = [SearchSpec(8, "kendall", allowed_transitions=(2, 8), node_budget=50),
+             SearchSpec(5, "kendall", node_budget=200),
+             SearchSpec(8, "linf", allowed_transitions=(2, 8), node_budget=50),
+             SearchSpec(6, "linf", allowed_transitions=(2, 6), start=(6, 5, 4, 3, 2, 1), node_budget=200),
+             SearchSpec(5, "linf", node_budget=200),
+             SearchSpec(6, "kendall", allowed_transitions=(3, 5), node_budget=200)]
+    expected = []
+    for spec in specs:
+        _graphs.clear()
+        expected.append(longest_snake(spec))
+    results = [[] for _ in range(4)]
+
+    def work(k):
+        results[k] += (longest_snake(specs[(j + k) % len(specs)]) for j in range(len(specs)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, got in enumerate(results):
+        assert got == [expected[(j + k) % len(specs)] for j in range(len(specs))]
     assert sum(len(graph.forms) for graph in _graphs.values()) <= math.factorial(MAX_SEARCH_N)
 
 
