@@ -1,23 +1,21 @@
 """Depth-first search for maximal snakes.
 
 The search walks push-to-top extensions from a fixed start permutation with
-an explicit stack.  Its tables cover the orbit of the start under the
-allowed pushes and nothing else, because no code through the start leaves
-it: the odd pushes t_3, t_5, ... reach at most the n!/2 permutations of the
-start's parity, and a single push t_k only k of them.  The orbit is found
-breadth-first from the identity on Kendall forms (perm_core.form), each push
-one value map applied in C.  A start relabels every state but keeps its
-number, so this push graph serves both metrics and every start, and it is
-kept across calls, one per (n, alphabet), least recently used first, while
-the kept states total at most one S_8 orbit.  Under Kendall, whose balls are
-value maps on the same forms, the rows and the balls are kept with it; a
-Chebyshev call turns each state's form into its word from the start and
-builds its own.  A state's row lists its children by ascending push, less a
-t_2 child inside the state's own radius-1 ball, which is never legal.  A
-node is a state the search accepts as the next codeword, and the node budget
-counts nodes.  Placing a node increments a blocked-counter at every state of
-its closed ball, built the first time the search places the state, so a
-child is free, a candidate node, exactly when its counter is zero.
+an explicit stack.  Its tables, built once per call, cover the orbit of the
+start under the allowed pushes and nothing else, because no code through the
+start leaves it: the odd pushes t_3, t_5, ... reach at most the n!/2
+permutations of the start's parity, and a single push t_k only k of them.
+The orbit is found breadth-first on Kendall forms (perm_core.form) under
+either metric, each push one value map applied in C, so the push graph is
+the same for both metrics and every start.  A state's row lists its children
+by ascending push, less a t_2 child inside the state's own radius-1 ball,
+which is never legal.  A node is a state the search accepts as the next
+codeword, and the node budget counts nodes.  Placing a node increments a
+blocked-counter at every state of its closed ball, built the first time the
+search places the state, so a child is free, a candidate node, exactly when
+its counter is zero.  A Chebyshev ball map moves values and a push moves
+places, so a push carries a ball onto the child's ball: the search builds a
+Chebyshev ball from the ball of the placed parent it came from.
 
 Before placing a node the search scans its row for a free child.  Placing it
 moves no child's counter, as its children lie outside its ball, and each
@@ -56,16 +54,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from functools import partial
+from operator import is_not, itemgetter
 from typing import Callable, Iterator, Optional
 
 from .bounds import linf_upper, trivial_upper
 from .code_model import GrayCode
-from .perm_core import PUSH_MAPS, Perm, _require_int, ball_maps, check_perm, identity
+from .perm_core import PUSH_MAPS, Perm, _require_int, ball_maps, check_perm, form, identity
 
 __all__ = ["SearchResult", "SearchSpec", "longest_snake"]
 
@@ -136,126 +132,90 @@ class SearchResult:
     states: int
 
 
-def _balls(forms: list[bytes], get: Callable[[bytes], Optional[int]], maps: tuple[bytes, ...]
-           ) -> tuple[list[Optional[tuple[int, ...]]], Callable[[int], tuple[int, ...]]]:
-    """(balls, ball): ball(i) builds state i's closed radius-1 ball, forms[i]
-    translated by each of maps and numbered by get, into balls[i], None
-    until then.  Without maps every ball holds only its centre, filled at
-    once."""
-    # filter(None, ·) drops the members outside the orbit (get gives None),
-    # which the search never places or looks up, and the start, 0, whose
-    # counter never reaches zero anyway, as the start stays placed.
-    balls: list[Optional[tuple[int, ...]]] = (
-        [None] * len(forms) if maps else list(zip(range(len(forms)))))
-
-    def ball(i: int) -> tuple[int, ...]:
-        members = balls[i] = (i, *filter(None, map(get, map(forms[i].translate, maps))))
-        return members
-    return balls, ball
-
-
-class _PushGraph:
-    """The orbit of the identity under one sorted alphabet: forms[i] is state
-    i's Kendall form and index numbers the forms; columns[j][i] is the child
-    of state i by the j-th push; closing[i] is the push that returns state i
-    to state 0, 0 if none, and closers the states with a closing push, in
-    alphabet order.  From any start the same pushes reach the same numbers.
-    rows and kendall_balls, built on first use, are the Kendall tables of
-    _build_tables, and rows the Chebyshev ones too where t_2 is not
-    allowed."""
-
-    def __init__(self, n: int, alphabet: tuple[int, ...]) -> None:
-        self.n, self.alphabet = n, alphabet
-        # Breadth-first on Kendall forms, which a push steps in C by one value
-        # map: setdefault gives each state its number, and a state reached
-        # for the first time the next one, len(index), which numbers reads
-        # just before each call.  A level is a run of consecutive numbers, so
-        # each column lists its push's children in state order.
-        index = self.index = {bytes(range(1, n + 1)): 0}
-        numbers = iter(index.__len__, -1)
-        columns: list[list[int]] = [[] for _ in alphabet]
-        level = list(index)
-        while level:
-            reached = len(index)
-            for column, t in zip(columns, alphabet):
-                pushed = map(bytes.translate, level, itertools.repeat(PUSH_MAPS[t]))
-                column += map(index.setdefault, pushed, numbers)
-            level = list(itertools.islice(index, reached, None))
-        self.forms, self.columns = list(index), columns
-        # A push permutes the orbit, so exactly one state pushes to state 0.
-        self.closers = [column.index(0) for column in columns]
-        self.closing = [0] * len(self.forms)
-        for t, c in zip(alphabet, self.closers):
-            self.closing[c] = t
-
-    @cached_property
-    def rows(self) -> list[tuple[int, ...]]:
-        # t_2 swaps the first two entries, always a Kendall neighbour, so no
-        # Kendall row lists a t_2 child, and t_2 alone lists no child at all.
-        return list(zip(*self.columns[self.alphabet[0] == 2:])) or [()] * len(self.forms)
-
-    @cached_property
-    def kendall_balls(self) -> tuple[list[Optional[tuple[int, ...]]], Callable[[int], tuple[int, ...]]]:
-        # A Kendall neighbour has the other parity, so no ball map is needed
-        # where every push is odd.
-        odd = all(t % 2 for t in self.alphabet)
-        return _balls(self.forms, self.index.get, () if odd else ball_maps("kendall", self.n))
-
-
-# Push graphs by (n, alphabet), least recently used first.  Their states total
-# at most one S_8 orbit, about 16 MB with every Kendall ball.
-_graphs: OrderedDict[tuple[int, tuple[int, ...]], _PushGraph] = OrderedDict()
-_graphs_lock = threading.Lock()
-_KEPT_STATES = math.factorial(MAX_SEARCH_N)
-
-
-def _push_graph(n: int, alphabet: tuple[int, ...]) -> _PushGraph:
-    """The kept graph of n and the sorted alphabet, built on a miss, which
-    drops the least recently used graphs until the rest fit the bound."""
-    key = n, alphabet
-    with _graphs_lock:
-        graph = _graphs.get(key)
-        if graph is not None:
-            _graphs.move_to_end(key)
-            return graph
-    graph = _PushGraph(n, alphabet)
-    with _graphs_lock:
-        graph = _graphs.setdefault(key, graph)
-        _graphs.move_to_end(key)
-        kept = sum(len(g.forms) for g in _graphs.values())
-        while kept > _KEPT_STATES:
-            kept -= len(_graphs.popitem(last=False)[1].forms)
-    return graph
-
-
 def _build_tables(spec: SearchSpec) -> tuple[
-        list[Optional[tuple[int, ...]]], Callable[[int], tuple[int, ...]], list[list[int]],
+        list[Optional[tuple[int, ...]]], Callable[..., tuple[int, ...]], list[list[int]],
         list[tuple[int, ...]], list[int], list[int]]:
     """(balls, ball, columns, rows, closing, closers) over the orbit of the
-    start under the spec's sorted alphabet, state 0 being the start: ball(i)
-    builds state i's closed radius-1 ball in the orbit (the start only in its
-    own) into balls[i], None until then; columns[j][i] is the child of state
-    i by the j-th push; rows[i] lists state i's children by ascending push but
-    a t_2 child inside state i's ball, never legal, as state i stays placed
-    while its children are tried; closing[i] is the push that returns state i
-    to the start, 0 if none, and closers the states with a closing push, in
-    alphabet order.  The push graph, columns, closing and closers, is the
-    kept one of n and the alphabet, and so are a Kendall spec's rows and
-    balls: the metric and the start enter only through the Chebyshev balls
-    and t_2 filter of the rows, built per call."""
-    graph = _push_graph(spec.n, spec.allowed_transitions)
-    columns, closing, closers = graph.columns, graph.closing, graph.closers
-    if spec.metric == "kendall":
-        return (*graph.kendall_balls, columns, graph.rows, closing, closers)
-    # State i is the start with the identity's pushes to it applied to its
-    # places, so its word maps each form entry to the start's value there.
-    ident, start = bytes(range(1, spec.n + 1)), bytes(spec.start)
-    words = list(map(ident.translate, map(bytes.maketrans, graph.forms, itertools.repeat(start))))
+    start under the spec's sorted alphabet, state 0 being the start:
+    ball(i, parent=None) builds state i's closed radius-1 ball in the orbit,
+    state i first, into balls[i], None until then, where a Kendall ball lists
+    the start only in its own; under Chebyshev, parent, a state with a push
+    to i whose ball is built, gives the ball by that push; columns[j][i] is
+    the child of state i by the j-th push; rows[i] lists state i's children
+    by ascending push but a t_2 child inside state i's ball, never legal, as
+    state i stays placed while its children are tried; closing[i] is the
+    push that returns state i to the start, 0 if none, and closers the
+    states with a closing push, in alphabet order.  The push graph, columns,
+    closing and closers, depends only on n and the alphabet: the metric and
+    the start enter only through the balls and the Chebyshev t_2 filter of
+    the rows."""
+    alphabet, kendall = spec.allowed_transitions, spec.metric == "kendall"
+    # Breadth-first from the start on Kendall forms (perm_core.form), which a
+    # push steps in C by one value map: setdefault gives each state its
+    # number, and a state reached for the first time the next one,
+    # len(index), which numbers reads just before each call.  A level is a
+    # run of consecutive numbers, so each column lists its push's children in
+    # state order.
+    index = {form("kendall", spec.start): 0}
+    numbers = iter(index.__len__, -1)
+    columns: list[list[int]] = [[] for _ in alphabet]
+    level = list(index)
+    while level:
+        reached = len(index)
+        for column, t in zip(columns, alphabet):
+            pushed = map(bytes.translate, level, itertools.repeat(PUSH_MAPS[t]))
+            column += map(index.setdefault, pushed, numbers)
+        level = list(itertools.islice(index, reached, None))
+    forms, get = list(index), index.get
+    # A push permutes the orbit, so exactly one state pushes to the start.
+    closers = [column.index(0) for column in columns]
+    closing = [0] * len(forms)
+    for t, c in zip(alphabet, closers):
+        closing[c] = t
     # t >= 3 moves a value t-1 >= 2 places; t_2 swaps the first two entries, a
-    # neighbour under Chebyshev if they are adjacent values.
-    rows = graph.rows if graph.alphabet[0] != 2 else [
-        row[abs(w[0] - w[1]) == 1:] for row, w in zip(zip(*columns), words)]
-    balls, ball = _balls(words, dict(zip(words, itertools.count())).get, ball_maps("linf", spec.n))
+    # neighbour under Kendall, and under Chebyshev if they are adjacent values.
+    # Kendall t_2 alone reaches two states, and lists no child of either.
+    rows = list(zip(*columns[kendall and alphabet[0] == 2:])) or [()] * len(forms)
+    balls: list[Optional[tuple[int, ...]]] = [None] * len(forms)
+    if kendall:
+        # A Kendall ball is a form translated by the metric's value maps.
+        # filter(None, ·) drops the members outside the orbit (get gives
+        # None), which the search never places or looks up, and the start, 0,
+        # whose counter never reaches zero anyway, as the start stays placed.
+        # A Kendall neighbour has the other parity, so where every push is odd
+        # a ball holds only its centre, and all are filled at once.
+        if all(t % 2 for t in alphabet):
+            balls = list(zip(range(len(forms))))
+        maps = ball_maps("kendall", spec.n)
+
+        def ball(i: int, parent: Optional[int] = None) -> tuple[int, ...]:
+            members = balls[i] = (i, *filter(None, map(get, map(forms[i].translate, maps))))
+            return members
+        return balls, ball, columns, rows, closing, closers
+    # The first two entries of a word are adjacent values when 1 and 2, their
+    # places, are neighbouring entries of its form.
+    children = rows
+    if alphabet[0] == 2:
+        rows = [row[abs(f.index(1) - f.index(2)) == 1:] for row, f in zip(children, forms)]
+    # A Chebyshev ball map moves values of the word, so it moves places of the
+    # form, and it is its own inverse, a product of disjoint swaps: a member's
+    # form is the map's places (the map on 1..n) translated by the form as a
+    # table.  filter(in_orbit, ·) drops the members outside the orbit but
+    # keeps the start.  A push moves places of the word, so it commutes with
+    # the ball maps: the column of the push from parent to i takes the
+    # parent's ball, start included, onto i's.
+    ident = bytes(range(1, spec.n + 1))
+    places = tuple(map(ident.translate, ball_maps("linf", spec.n)))
+    in_orbit = partial(is_not, None)
+
+    def ball(i: int, parent: Optional[int] = None) -> tuple[int, ...]:
+        if parent is None:
+            moved = map(bytes.translate, places, itertools.repeat(bytes.maketrans(ident, forms[i])))
+            members = (i, *filter(in_orbit, map(get, moved)))
+        else:
+            members = tuple(map(columns[children[parent].index(i)].__getitem__, balls[parent]))
+        balls[i] = members
+        return members
     return balls, ball, columns, rows, closing, closers
 
 
@@ -333,7 +293,8 @@ def longest_snake(spec: SearchSpec) -> SearchResult:
                         break
                 else:
                     break
-                for u in balls[nxt] or ball(nxt):
+                # the parent, the top placed state or the start, has its ball
+                for u in balls[nxt] or ball(nxt, stack[-1][0] if stack else 0):
                     blocked[u] += 1
                 # Counters only rise below a node, so once no closer is free
                 # no code below it closes: a cyclic search does not expand it.

@@ -3,10 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
-import math
 import random
-import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -19,7 +16,6 @@ from permsnake.search import (
     SearchSpec,
     longest_snake,
     _build_tables,
-    _graphs,
 )
 
 
@@ -342,17 +338,22 @@ def _row_cases():
                                           start=tuple(range(n, 0, -1))), id=f"{name}_down")
 
 
+def _state_perms(spec, columns):
+    """State number -> permutation, from the columns: a state is listed
+    after the state it was first reached from."""
+    perms = {0: spec.start}
+    for i in range(len(columns[0])):
+        for t, column in zip(spec.allowed_transitions, columns):
+            assert perms.setdefault(column[i], push_top(t, perms[i])) == push_top(t, perms[i])
+    assert len(set(perms.values())) == len(perms) == len(columns[0])
+    return perms
+
+
 @pytest.mark.parametrize("spec", _row_cases())
 def test_rows_leave_out_exactly_the_t2_children_in_the_ball(spec):
     balls, _, columns, rows, closing, closers = _build_tables(spec)
     assert len(rows) == len(balls) == _orbit_size(spec)
-    # Number the states' permutations from the columns: a state is listed
-    # after the state it was first reached from.
-    perms = {0: spec.start}
-    for i in range(len(rows)):
-        for t, column in zip(spec.allowed_transitions, columns):
-            assert perms.setdefault(column[i], push_top(t, perms[i])) == push_top(t, perms[i])
-    assert len(set(perms.values())) == len(perms) == len(rows)
+    perms = _state_perms(spec, columns)
     # the start's first moves keep one child per push, t_2 included
     assert [perms[column[0]] for column in columns] == [
         push_top(t, spec.start) for t in spec.allowed_transitions]
@@ -372,6 +373,28 @@ def test_rows_leave_out_exactly_the_t2_children_in_the_ball(spec):
         assert all(t == 2 for t, _ in left_out)
 
 
+@pytest.mark.parametrize("spec", [case for case in _row_cases() if case.values[0].n <= 5])
+def test_balls_are_the_radius_1_balls_within_the_orbit(spec):
+    # Chebyshev balls are found on the Kendall forms the orbit is numbered
+    # by, or taken from the parent's by a push, so check every ball against
+    # the distances of the permutations, built both ways.
+    balls, ball, columns = _build_tables(spec)[:3]
+    perms = _state_perms(spec, columns)
+    distance = kendall_distance if spec.metric == "kendall" else linf_distance
+    expected = {}
+    for i, p in perms.items():
+        expected[i] = {i} | {j for j, q in perms.items() if distance(p, q) == 1}
+        if spec.metric == "kendall" and i:
+            expected[i].discard(0)  # only the start's own Kendall ball lists it
+        members = ball(i)
+        assert balls[i] == members and members[0] == i and len(set(members)) == len(members)
+        assert set(members) == expected[i]
+    for parent, column in itertools.product(perms, columns):
+        members = ball(column[parent], parent)
+        assert members[0] == column[parent] and len(set(members)) == len(members)
+        assert set(members) == expected[column[parent]]
+
+
 @pytest.mark.parametrize("n", range(3, 7))
 def test_push_graph_is_the_same_for_both_metrics_and_every_start(n):
     # The orbit is walked on Kendall forms, where a push acts the same way
@@ -383,89 +406,12 @@ def test_push_graph_is_the_same_for_both_metrics_and_every_start(n):
         for alphabet in itertools.combinations(range(2, n + 1), k):
             graphs, kendall_tables = set(), set()
             for metric, start in itertools.product(("kendall", "linf"), starts):
-                _graphs.clear()  # kept tables would compare with themselves
                 balls, ball, columns, rows, closing, closers = _build_tables(
                     SearchSpec(n, metric, allowed_transitions=alphabet, start=start))
                 graphs.add(repr((columns, closing, closers)))
                 if metric == "kendall":
                     kendall_tables.add(repr((rows, [ball(i) for i in range(len(balls))])))
             assert len(graphs) == len(kendall_tables) == 1, alphabet
-
-
-def _cold_warm_cases():
-    for n in range(3, 8):
-        full = tuple(range(2, n + 1))
-        for alphabet in dict.fromkeys((full, (2, n), full[1::2])):
-            yield pytest.param(n, alphabet, id=f"{n}_p{''.join(map(str, alphabet))}")
-
-
-@pytest.mark.parametrize("n, alphabet", _cold_warm_cases())
-def test_kept_tables_give_the_results_of_fresh_ones(n, alphabet):
-    # Every call from a fresh table set, then every call again on the tables
-    # the others kept and filled: Kendall balls filled from one start serve
-    # the next, and a Chebyshev call builds its own.
-    ident = tuple(range(1, n + 1))
-    starts = [ident, ident[::-1], *(tuple(random.Random(seed).sample(ident, n)) for seed in (1, 2))]
-    specs = [SearchSpec(n, metric, cyclic, alphabet, start, node_budget=2000)
-             for metric, cyclic, start in itertools.product(("kendall", "linf"), (True, False), starts)]
-    cold = []
-    for spec in specs:
-        _graphs.clear()
-        cold.append(longest_snake(spec))
-    assert [longest_snake(spec) for spec in specs] == cold
-    assert list(_graphs) == [(n, alphabet)]
-
-
-def test_kept_tables_stay_within_one_s8_orbit():
-    _graphs.clear()
-    for n, alphabet in ((7, (2, 3, 4, 5, 6, 7)), (6, (2, 3, 4, 5, 6)), (8, (3, 5, 7))):
-        longest_snake(SearchSpec(n, "kendall", allowed_transitions=alphabet, node_budget=1))
-    # 5,040 + 720 + 2,520 states (t_3, t_5, t_7 fix the last entry): all
-    # kept, least recently used first
-    assert list(_graphs) == [(7, (2, 3, 4, 5, 6, 7)), (6, (2, 3, 4, 5, 6)), (8, (3, 5, 7))]
-    longest_snake(SearchSpec(6, "linf", node_budget=1))
-    assert list(_graphs)[-1] == (6, (2, 3, 4, 5, 6))
-    # a whole S_8 orbit leaves room for nothing else
-    longest_snake(SearchSpec(8, "linf", node_budget=1))
-    assert list(_graphs) == [(8, tuple(range(2, 9)))]
-    longest_snake(SearchSpec(4, "kendall"))
-    assert list(_graphs) == [(4, (2, 3, 4))]
-    assert sum(len(graph.forms) for graph in _graphs.values()) <= math.factorial(MAX_SEARCH_N)
-
-
-def test_kept_tables_hold_under_threads():
-    # Each insert of a small orbit drops the whole S_8 one and the next S_8
-    # call drops every small one, while threads switching every microsecond
-    # look up, build, evict and fill Kendall balls in the same tables.
-    specs = [SearchSpec(8, "kendall", allowed_transitions=(2, 8), node_budget=50),
-             SearchSpec(5, "kendall", node_budget=200),
-             SearchSpec(8, "linf", allowed_transitions=(2, 8), node_budget=50),
-             SearchSpec(6, "linf", allowed_transitions=(2, 6), start=(6, 5, 4, 3, 2, 1), node_budget=200),
-             SearchSpec(5, "linf", node_budget=200),
-             SearchSpec(6, "kendall", allowed_transitions=(3, 5), node_budget=200)]
-    expected = []
-    for spec in specs:
-        _graphs.clear()
-        expected.append(longest_snake(spec))
-    results = [[] for _ in range(4)]
-
-    def work(k):
-        results[k] += (longest_snake(specs[(j + k) % len(specs)]) for j in range(len(specs)))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    for k, got in enumerate(results):
-        assert got == [expected[(j + k) % len(specs)] for j in range(len(specs))]
-    assert sum(len(graph.forms) for graph in _graphs.values()) <= math.factorial(MAX_SEARCH_N)
 
 
 def _oracle(spec):
