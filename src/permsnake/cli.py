@@ -27,9 +27,9 @@ from .linf_snake import (
 from .perm_core import format_perm, parse_perm
 from .repro import REPRO_CHECKS
 from .rmgc import build_rmgc
-from .search import SearchSpec, longest_snake
+from .search import MAX_EXHAUSTIVE_N, SearchSpec, longest_snake
 
-# Searches at n >= 6 run budgeted unless --exhaustive is given explicitly.
+# Searches at n >= MAX_EXHAUSTIVE_N run budgeted unless --exhaustive is given explicitly.
 DEFAULT_NODE_BUDGET = 2_000_000
 
 # verify refuses larger codes without --force, so that no request runs long:
@@ -234,7 +234,7 @@ def _cmd_search(args) -> int:
     if args.exhaustive and args.budget is not None:
         raise ValueError("--exhaustive and --budget are mutually exclusive")
     budget = args.budget
-    defaulted = budget is None and not args.exhaustive and args.n >= 6
+    defaulted = budget is None and not args.exhaustive and args.n >= MAX_EXHAUSTIVE_N
     if defaulted:
         budget = DEFAULT_NODE_BUDGET
     start = parse_perm(args.start) if args.start is not None else None
@@ -247,7 +247,8 @@ def _cmd_search(args) -> int:
         node_budget=budget,
     )
     if defaulted:  # only once the spec is accepted
-        _note(f"n >= 6: defaulting to node budget {budget} (use --exhaustive to override)")
+        _note(f"n >= {MAX_EXHAUSTIVE_N}: defaulting to node budget {budget} "
+              "(use --exhaustive to override)")
     result = longest_snake(spec)
     best = None
     if result.best is not None:

@@ -15,24 +15,15 @@ with one odd push each, following a complete order-p rotation code; sizes are
 p! * (q + (q-1)!): 6, 18, 30, 120, 240, 1200, 3480 for n = 4..10.  The
 even-top variant swaps the roles (strictly smaller for odd n).
 
-rank_inf, unrank_inf and successor_inf index the default variant without
-expanding it, through one table per length (_layout), built on first use.
-Cut a codeword after position q+1.  The tail is the block's odd arrangement
-without its first value; a block's pushes reach only the head positions, so
-it keeps its tail.  The table walks one block's pushes (_block) once from
-the identity on the q+1 head positions, and the code's pushes between blocks
-from its start, one block at a time; each distinct first head gets one heads
-tuple, that walk read through it, and one offset dict.  It keeps,
-keyed by raw values, each block's heads in rank order with its tail, and for
-each tail its block's first rank and its heads' offsets; and the code's
-pushes in rank order.  So rank_inf is two dict lookups, and it raises
-ValueError on every permutation outside the code: a tail that is a key holds
-p-1 odd values, which leaves the evens and the block's first odd value to
-the head, and the head must then be one of its block's.  A hit counts only
-when every entry is an int (1.0 and True hash and compare like 1), and
-check_perm's refusal is reached only after a miss.  unrank_inf joins a
-stored head and tail, and successor_inf reads the push at rank_inf(sigma),
-so it raises on exactly the words rank_inf rejects.
+rank_inf, unrank_inf and successor_inf index the default variant through
+one table per length (_index), built on first use: the word -> rank dict
+that code_model._ranks makes of build_linf_snake(n), at most 3,480 words (n =
+10), and its words in rank order.  rank_inf is one lookup of bytes(sigma),
+and it raises ValueError on every permutation outside the code.  A hit counts
+only when every entry is an int (True converts like 1), and check_perm's
+refusal is reached only after a miss.  unrank_inf reads the k-th word, and
+successor_inf reads the code's push at rank_inf(sigma), so it raises on
+exactly the words rank_inf rejects.
 """
 
 from __future__ import annotations
@@ -40,10 +31,9 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 from operator import countOf
-from typing import NamedTuple
 
-from .code_model import GrayCode, expand, verify_snake
-from .perm_core import Perm, _require_int, check_perm, identity, push_top
+from .code_model import GrayCode, _ranks, verify_snake
+from .perm_core import Perm, _require_int, check_perm
 from .rmgc import build_rmgc
 
 __all__ = [
@@ -76,16 +66,11 @@ def linf_size(n: int, variant: str = "odd-top") -> int:
     return factorial(q) * (p + factorial(p - 1))
 
 
-@lru_cache(maxsize=None)
-def _block(s: int) -> tuple[int, ...]:
-    """Pushes of one block over s inner values, up to its glue push: s
-    rotations, then the order s-1 complete code without its closing t_2."""
-    return (s + 1,) * s + build_rmgc(s - 1).transitions[:-1]
-
-
 def _assemble(n: int, outer: tuple[int, ...], inner: tuple[int, ...]) -> GrayCode:
     s = len(inner)
-    block = _block(s)
+    # one block up to its glue push: s rotations, then the order s-1 complete
+    # code without its closing t_2
+    block = (s + 1,) * s + build_rmgc(s - 1).transitions[:-1]
     transitions: list[int] = []
     for glue in build_rmgc(len(outer)).transitions:
         transitions.extend(block)
@@ -122,35 +107,11 @@ def build_linf_snake(n: int, variant: str = "odd-top") -> GrayCode:
     return code
 
 
-class _Layout(NamedTuple):
-    """The enumeration table of build_linf_snake(n), keyed by raw values."""
-
-    blk: int  # codewords per block
-    blocks: tuple[tuple[tuple[Perm, ...], Perm], ...]  # per block: heads in rank order, tail
-    tails: dict[Perm, tuple[int, dict[Perm, int]]]  # per tail: block's first rank, head offsets
-    pushes: tuple[int, ...]  # the code's pushes in rank order
-
-
 @lru_cache(maxsize=None)
-def _layout(n: int) -> _Layout:
-    q = n // 2
-    # the arrangements one block walks on its q+1 head positions
-    walk = expand(GrayCode(q + 1, identity(q + 1), _block(q), cyclic=False))
-    blk = len(walk)
-    firsts = {}  # a block's first head -> its heads in rank order, their offsets
-    blocks, tails = [], {}
-    code = _assemble(n, tuple(range(1, n + 1, 2)), tuple(range(2, n + 1, 2)))
-    word = code.start
-    for b, glue in enumerate(code.transitions[blk - 1 :: blk]):  # the pushes between blocks
-        first, tail = word[: q + 1], word[q + 1 :]
-        if first not in firsts:
-            heads = tuple(tuple(first[v - 1] for v in u) for u in walk)
-            firsts[first] = heads, {h: r for r, h in enumerate(heads)}
-        heads, offsets = firsts[first]
-        blocks.append((heads, tail))
-        tails[tail] = b * blk, offsets
-        word = push_top(glue, heads[-1] + tail)
-    return _Layout(blk, tuple(blocks), tails, code.transitions)
+def _index(n: int) -> tuple[dict[bytes, int], tuple[bytes, ...]]:
+    """The rank of each word of build_linf_snake(n), and the words in rank order."""
+    ranks = _ranks(build_linf_snake(n), "linf")
+    return ranks, tuple(ranks)
 
 
 def successor_inf(sigma: Perm) -> int:
@@ -159,7 +120,7 @@ def successor_inf(sigma: Perm) -> int:
     Raises ValueError when sigma is not a codeword, as rank_inf does.
     """
     r = rank_inf(sigma)
-    return _layout(len(sigma)).pushes[r]
+    return build_linf_snake(len(sigma)).transitions[r]
 
 
 def rank_inf(sigma: Perm) -> int:
@@ -170,11 +131,9 @@ def rank_inf(sigma: Perm) -> int:
     t = tuple(sigma)
     n = len(t)
     if MIN_LINF_N <= n <= MAX_LINF_N:
-        cut = n // 2 + 1
         try:
-            first, offsets = _layout(n).tails[t[cut:]]
-            r = first + offsets[t[:cut]]
-        except (KeyError, TypeError):
+            r = _index(n)[0][bytes(t)]
+        except (KeyError, TypeError, ValueError):
             pass
         else:
             # the hit matched a codeword entry by entry; int entries make it that codeword
@@ -197,10 +156,7 @@ def unrank_inf(n: int, k: int) -> Perm:
         raise ValueError(f"n must be in {MIN_LINF_N}..{MAX_LINF_N}, got {n}")
     if type(k) is not int:
         raise ValueError(f"rank must be an int, got {k!r}")
-    t = _layout(n)
-    total = len(t.pushes)
-    if not 0 <= k < total:
-        raise ValueError(f"rank {k} out of range 0..{total - 1}")
-    b, r = divmod(k, t.blk)
-    heads, tail = t.blocks[b]
-    return heads[r] + tail
+    words = _index(n)[1]
+    if not 0 <= k < len(words):
+        raise ValueError(f"rank {k} out of range 0..{len(words) - 1}")
+    return tuple(words[k])

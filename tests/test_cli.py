@@ -255,6 +255,15 @@ def test_search_refused_spec_prints_only_the_error(capsys, argv, error):
     assert captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("n, extra, noted", [(6, [], True), (6, ["--exhaustive"], False),
+                                             (6, ["--budget", "50000"], False), (5, [], False)])
+def test_search_notes_the_default_budget_from_the_exhaustive_cap(capsys, n, extra, noted):
+    argv = ["search", "--n", str(n), "--metric", "linf", "--transitions", f"2,{n}", *extra]
+    assert run(argv) == 0
+    note = "n >= 6: defaulting to node budget 2000000 (use --exhaustive to override)\n"
+    assert capsys.readouterr().err.startswith(note) == noted
+
+
 def test_search_exhaustive_and_budget_conflict(capsys):
     assert (
         run(

@@ -301,7 +301,7 @@ def test_rank_on_random_degree_eleven_permutations():
 def test_cli_import_builds_no_rank_table():
     probe = (
         "import permsnake.cli, permsnake.ksnake as k, permsnake.linf_snake as l; "
-        "print(k._layout.cache_info().currsize, l._layout.cache_info().currsize)"
+        "print(k._layout.cache_info().currsize, l._index.cache_info().currsize)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],

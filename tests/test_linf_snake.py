@@ -16,7 +16,7 @@ from permsnake.linf_snake import (
     successor_inf,
     unrank_inf,
 )
-from permsnake.perm_core import linf_distance, push_top
+from permsnake.perm_core import check_perm, linf_distance, push_top
 
 
 def test_build_block_two_element_example():
@@ -131,8 +131,7 @@ def test_rank_rejects_non_codewords():
 
 
 def test_rank_refuses_a_word_outside_the_arrangement_table():
-    # the values after position q map to the odd arrangement (2, 2, 3),
-    # which no table of arrangements holds
+    # a permutation of the right length that the index does not hold
     for f in (rank_inf, successor_inf):
         with pytest.raises(ValueError, match=r"^\(3, 1, 2, 4, 5\) is not a codeword "
                            "of the length-5 code$"):
@@ -195,7 +194,8 @@ def test_rank_refuses_lengths_without_a_code(f):
 @pytest.mark.parametrize("f, out", [(rank_inf, 0), (successor_inf, 3)])
 def test_rank_refuses_entries_that_only_equal_a_codeword(f, out):
     # (1, 2, 4, 3) is the rank-0 codeword, and True == 1, 2.0 == 2: the
-    # lookup hits, and the entry types refuse the word
+    # lookup takes True as 1 and hits, or refuses a float; either way the
+    # entry types refuse the word
     assert f((1, 2, 4, 3)) == out
     w = unrank_inf(10, 0)
     i = w.index(1)
@@ -203,6 +203,22 @@ def test_rank_refuses_entries_that_only_equal_a_codeword(f, out):
                   tuple(map(float, w)), w[:-1] + (float(w[-1]),)):
         with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.n"):
             f(sigma)
+
+
+@pytest.mark.parametrize("f", [rank_inf, successor_inf])
+def test_entries_outside_a_byte_get_check_perms_refusal(f):
+    # bytes() raises ValueError on an entry outside 0..255, where a tuple key
+    # would simply miss; the refusal must still be check_perm's own
+    for n in (4, 10):
+        w = unrank_inf(n, 1)
+        sigmas = [w[:i] + (v,) + w[i + 1 :] for i in (0, n - 1) for v in (-1, 0, 256, 2**70)]
+        sigmas += [w[:i] + (w[i] + 256,) + w[i + 1 :] for i in range(n)]
+        for sigma in sigmas:
+            with pytest.raises(ValueError) as want:
+                check_perm(sigma)
+            with pytest.raises(ValueError) as got:
+                f(sigma)
+            assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("k", [1.0, True, False, "1", None])
@@ -237,7 +253,8 @@ def test_unrank_refuses_a_length_that_is_not_an_int_before_any_table(monkeypatch
     def no_table(*args):
         raise AssertionError("a table was read")
 
-    monkeypatch.setattr(linf_snake, "_layout", no_table)
+    for name in ("_index", "build_linf_snake"):
+        monkeypatch.setattr(linf_snake, name, no_table)
     with pytest.raises(ValueError) as info:
         unrank_inf(n, 0)
     assert str(info.value) == f"n must be an int, got {n!r}"
