@@ -17,27 +17,25 @@ segment from it; successor_k reads the built code up to degree 9, and
 _push_at above.
 
 rank_k / unrank_k agree with build_ksnake's enumeration order, rank 0 at the
-stored start.  Segment j holds M_{N-2} rotation classes, one per degree N-2
-codeword w: the N rotations (t_N pushes) of [N-1, N] + reversed(w) lifted by
-one bytes table (_value_maps) that sends N-1 and N to 1 and a_j.  Up to
-degree 9 both read one table per degree (_layout) of the lifted subcode
-words, keyed by each class's rotation starting with 1 (11,025 classes at
-degree 9) to the class's offset in its segment; its keys in class order are
-the words unrank_k rotates.  So rank_k is one rotation and one dict lookup,
-and unrank_k one stored word rotated.  Above degree 9 rank_k maps the word
-down and unrank_k lifts the word one degree down, on bytes, to degree 9; no
-code is expanded.
+stored start.  Below degree 9 both read one index per degree (_index), built
+on first use: the word -> rank dict that code_model._ranks makes of
+build_ksnake(N), at most 1,575 words (degree 7), and its words in rank order.
+From degree 9 up both go one degree down per step (_step).  Segment j holds
+M_{N-2} rotation classes, one per degree N-2 codeword w: the N rotations
+(t_N pushes) of [N-1, N] + reversed(w) lifted by one bytes table that sends
+N-1 and N to 1 and a_j.  So unrank_k lifts and rotates the subcode word, and
+rank_k rotates the word to start with 1, reads j off its second entry and
+maps the rest down by the inverse table; no code above degree 7 is expanded.
 
 rank_k is exact: it raises ValueError on every permutation outside the
-code, the table's dict refusing whatever the recursion hands down that is
-not a degree-9 codeword.  A hit counts only when every entry is an int
-(True would match 1), and check_perm's refusal is reached only after a
-miss.  successor_k raises on exactly the words rank_k rejects.  One
-normalization is baked in: the recursion's natural degree-3 origin is
-[2,3,1], while the stored degree-3 code starts at [1,2,3]; the subcode
-origin rank (_subcode_origin) is adjusted so that build_ksnake(5) and the
-recursion above it match the expansion exactly, and the degree-3 table (one
-class) is written out.  The recorded degree-5 checkpoints that pin that
+code, the index refusing whatever the steps hand down that is not a
+codeword.  A hit counts only when every entry is an int (True would match
+1), and check_perm's refusal is reached only after a miss.  successor_k
+raises on exactly the words rank_k rejects.  One normalization is baked in:
+the recursion's natural degree-3 origin is [2,3,1], while the stored
+degree-3 code starts at [1,2,3]; the subcode origin rank (_subcode_origin)
+is adjusted so that build_ksnake(5) and the recursion above it match the
+expansion exactly.  The recorded degree-5 checkpoints that pin that
 expansion live in permsnake.repro.
 """
 
@@ -89,23 +87,6 @@ def _subcode_origin(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _value_maps(n: int, j: int) -> tuple[bytes, bytes]:
-    """(down, up) as bytes.translate tables: up lifts the degree 2n-1 values
-    into the tail of the degree 2n+1 code at cycle offset j (1 to 3, 3 to
-    a_{j+1}, and a_s of order n-1 to a_{j-s-1}, indices mod 2n-1) and the
-    placeholders 2n and 2n+1, which no subcode word holds, to the head's 1
-    and a_j; down inverts it on the tail values, sending every other byte
-    (1 and a_j among them) to 0."""
-    a, L = _alphabet(n), 2 * n - 1
-    lifted = (3, a[j - 1], a[(j + 1) % L], *(a[(j + 2 - b) % L] for b in range(4, 2 * n)))
-    up = bytes.maketrans(bytes(range(1, 2 * n + 2)), bytes((*lifted, 1, a[j])))
-    down = bytearray(256)
-    for b in range(1, 2 * n):
-        down[up[b]] = b
-    return bytes(down), up
-
-
-@lru_cache(maxsize=None)
 def build_ksnake(N: int) -> GrayCode:
     """The cyclic (N, M_N) Kendall snake, N odd, 3 <= N <= 9.
 
@@ -130,34 +111,43 @@ def build_ksnake(N: int) -> GrayCode:
     return GrayCode(n=N, start=start, transitions=segment * (2 * n - 1), cyclic=True)
 
 
-class _Layout(NamedTuple):
-    """The enumeration table of build_ksnake(N), one entry per rotation class."""
+@lru_cache(maxsize=None)
+def _index(N: int) -> tuple[dict[bytes, int], tuple[bytes, ...]]:
+    """The rank of each word of build_ksnake(N), and the words in rank order."""
+    ranks = _ranks(build_ksnake(N), "linf")
+    return ranks, tuple(ranks)
 
-    m: int  # rotation classes per segment
-    span: int  # codewords per segment, N * m
-    firsts: tuple[int, ...]  # indexed by a_j, the first rank of segment j
-    classes: dict[bytes, int]  # per class, its rotation starting with 1 -> its offset
-    heads: tuple[bytes, ...]  # per class in class order, the word unrank_k rotates right
+
+class _Step(NamedTuple):
+    """How the degree-N code lifts the degree N-2 code, segment by segment."""
+
+    m: int  # M_{N-2}
+    origin: int  # _subcode_origin
+    segments: dict[int, tuple[int, bytes]]  # a_j -> segment j's first rank and down table
+    ups: tuple[bytes, ...]  # per segment j, its up table
 
 
 @lru_cache(maxsize=None)
-def _layout(N: int) -> _Layout:
-    if N == 3:  # one class, and the stored start is not the recursion's origin
-        return _Layout(1, 3, (0, 0, 0), {b"\1\2\3": 1}, (b"\3\1\2",))
+def _step(N: int) -> _Step:
+    """Segment j's tables, as bytes.translate tables: up lifts the degree N-2
+    values into the tail of the degree-N code at cycle offset j (1 to 3, 3
+    to a_{j+1}, and a_s of order n-1 to a_{j-s-1}, indices mod N-2) and the
+    placeholders N-1 and N, which no subcode word holds, to the head's 1 and
+    a_j; down inverts it on the tail values, sending every other byte (1 and
+    a_j among them) to 0."""
     n = (N - 1) // 2
-    m = ksnake_size(N - 2)
-    origin = _subcode_origin(n)
-    # each degree N-2 codeword (its bytes, the Chebyshev form) reversed,
-    # behind the placeholders N-1 and N, which the lift turns into 1 and a_j
-    tails = [bytes((N - 1, N)) + w[::-1] for w in _ranks(build_ksnake(N - 2), "linf")]
-    tails = tails[origin:] + tails[:origin]  # class r holds the subcode word of rank r + origin
-    offsets = list(range(-N - 1, N * (m - 1) - 1, N))  # class r's offset N * (r - 1) - 1
-    firsts = [0] * (N + 1)
-    classes = {}
-    for j, a in enumerate(_alphabet(n)):
-        firsts[a] = N * m * j
-        classes.update(zip(map(bytes.translate, tails, repeat(_value_maps(n, j)[1])), offsets))
-    return _Layout(m, N * m, tuple(firsts), classes, tuple(classes))
+    a, L = _alphabet(n), N - 2
+    m = ksnake_size(L)
+    segments, ups = {}, []
+    for j in range(L):
+        lifted = (3, a[j - 1], a[(j + 1) % L], *(a[(j + 2 - b) % L] for b in range(4, N - 1)))
+        up = bytes.maketrans(bytes(range(1, N + 1)), bytes((*lifted, 1, a[j])))
+        down = bytearray(256)
+        for b in range(1, N - 1):
+            down[up[b]] = b
+        segments[a[j]] = (N * m * j, bytes(down))
+        ups.append(up)
+    return _Step(m, _subcode_origin(n), segments, tuple(ups))
 
 
 def _push_at(N: int, r: int) -> int:
@@ -189,6 +179,8 @@ def successor_k(n: int, sigma: Perm) -> int:
     if type(n) is not int:
         raise ValueError(f"order n must be an int, got {n!r}")
     N = 2 * n + 1
+    if hasattr(sigma, "__next__"):  # an iterator is read once, as rank_k reads it
+        sigma = tuple(sigma)
     if len(sigma) != N:
         raise ValueError(f"order n = {n} needs a permutation of length {N}, "
                          f"got length {len(sigma)}")
@@ -198,7 +190,7 @@ def successor_k(n: int, sigma: Perm) -> int:
 
 def rank_k(sigma: Perm) -> int:
     """Rank of codeword sigma in build_ksnake's enumeration (0 at the start):
-    up to degree 9 one lookup of its rotation starting with 1.
+    below degree 9 one index lookup, and one step down per degree above.
 
     Raises ValueError when sigma is not a codeword.
     """
@@ -221,21 +213,16 @@ def rank_k(sigma: Perm) -> int:
 
 def _rank_k(word: bytes) -> int:
     N = len(word)
+    if N < MAX_KSNAKE_N:
+        return _index(N)[0][word]
     i = word.index(1)
     rot = word[i:] + word[:i]  # rot = (1, a_j, tail)
-    if N <= MAX_KSNAKE_N:
-        t = _layout(N)
-        off = t.classes[rot]  # a hit makes rot[1] some a_j
-        return t.firsts[rot[1]] + (off + (i - 1) % N) % t.span
-    n = (N - 1) // 2
-    j = _alphabet(n).index(rot[1])
+    step = _step(N)
+    first, down = step.segments[rot[1]]
     # down is one-to-one on the tail values and sends every other byte to 0,
-    # which no codeword holds, so sub is a codeword only if rot is one
-    sub = rot[:1:-1].translate(_value_maps(n, j)[0])
-    m_small = ksnake_size(N - 2)
-    r = (_rank_k(sub) - _subcode_origin(n)) % m_small
-    rn = (N * (r - 1) - 1 + ((i - 1) % N)) % (N * m_small)
-    return N * m_small * j + rn
+    # which no codeword holds, so the subcode word is one only if rot is one
+    r = _rank_k(rot[:1:-1].translate(down)) - step.origin
+    return first + (N * (r - 1) - 1 + (i - 1) % N) % (N * step.m)
 
 
 def unrank_k(n: int, k: int) -> Perm:
@@ -260,17 +247,12 @@ def unrank_k(n: int, k: int) -> Perm:
 
 
 def _unrank_k(N: int, k: int) -> bytes:
-    if N <= MAX_KSNAKE_N:
-        t = _layout(N)
-        j, pos = divmod(k, t.span)
-        sigma = t.heads[j * t.m + ((pos + 1) // N + 1) % t.m]
-    else:
-        n = (N - 1) // 2
-        m_small = ksnake_size(N - 2)
-        j, pos = divmod(k, N * m_small)
-        sub_rank = ((pos + 1) // N + 1 + _subcode_origin(n)) % m_small
-        # the subcode word reversed behind the placeholders, lifted as in _layout
-        sub = bytes((N - 1, N)) + _unrank_k(N - 2, sub_rank)[::-1]
-        sigma = sub.translate(_value_maps(n, j)[1])
+    if N < MAX_KSNAKE_N:
+        return _index(N)[1][k]
+    step = _step(N)
+    j, pos = divmod(k, N * step.m)
+    sub = _unrank_k(N - 2, ((pos + 1) // N + 1 + step.origin) % step.m)
+    # the subcode word reversed behind the placeholders N-1 and N
+    sigma = (bytes((N - 1, N)) + sub[::-1]).translate(step.ups[j])
     shift = (pos + 2) % N  # that many t_N pushes: a right rotation
     return sigma[-shift:] + sigma[:-shift]

@@ -119,6 +119,8 @@ def successor_inf(sigma: Perm) -> int:
 
     Raises ValueError when sigma is not a codeword, as rank_inf does.
     """
+    if hasattr(sigma, "__next__"):  # an iterator is read once, as rank_inf reads it
+        sigma = tuple(sigma)
     r = rank_inf(sigma)
     return build_linf_snake(len(sigma)).transitions[r]
 

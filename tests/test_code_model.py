@@ -1,5 +1,6 @@
 """Code container, expansion, verification, and serialization."""
 
+import hashlib
 import itertools
 import json
 import operator
@@ -417,6 +418,35 @@ def test_encode_decode_byte_round_trip():
     assert metric == "kendall"
     assert encode_code(code, metric) == line
     assert json.loads(line)["transitions"] == [3, 3, 3]
+
+
+ENCODED_SHA256 = [
+    (build_ksnake, (3,), "962c58aad68c47c14bd990beb7d182c669e9f9076832f35474e06b4d6a8504ac"),
+    (build_ksnake, (5,), "01a078e2dc0bffd3110a64dc6be7be043384733aa674f393813e8e8d7bf09b29"),
+    (build_ksnake, (7,), "050d5e9f14540415407675dffd7faa088815e1c5fe0992cfeb6c7478970a4886"),
+    (build_ksnake, (9,), "93bdaa919b53774c6bb1f67082834616ee459954e9b36f4d9a694f6eacc8d6f9"),
+    (build_linf_snake, (4, "odd-top"), "124b066f7d6828fef1ca192ff909f9be1d88a77f0f7140088b7e8b7cac2feb93"),
+    (build_linf_snake, (4, "even-top"), "962b98088bd2bd09a8a4db7ddb4d9b9296ddea2e0ce159ec50c817ee17ab6db7"),
+    (build_linf_snake, (5, "odd-top"), "e0ffc4bf610a5a1bd19f41c0244f63fd80c433da02c013e9cca7e890602e60cc"),
+    (build_linf_snake, (5, "even-top"), "549111c4fc4021393830dceffa88c7fb3dbe1cfcf1cbde5a435e05b05675b3e9"),
+    (build_linf_snake, (6, "odd-top"), "27817f25d715f935c709c2f7079e88304dedc2a0517481e50a716acec1a69754"),
+    (build_linf_snake, (6, "even-top"), "aa28360f36a69f98669334fbdd278a19c8496716c83f15dfd8765f98e603f2f3"),
+    (build_linf_snake, (7, "odd-top"), "a9224b53a439a3949e7feb14df206740a5d3125acf51fcf9e15a9769a9476db4"),
+    (build_linf_snake, (7, "even-top"), "a3a4990d953ced2d83254cf7e9679b620d6d4aca89b851128f655959654fd28e"),
+    (build_linf_snake, (8, "odd-top"), "547946353e197caff15578609066496368b5718e4055459c865d59b59c0ad8b5"),
+    (build_linf_snake, (8, "even-top"), "d14b12c2be33c3aebabe0bca94732b601baf3e465e63eaaa47c151e1b3a53bbc"),
+    (build_linf_snake, (9, "odd-top"), "fe6caf304cef3d846f47321a43d629f791e92f1c5c9a526c2d781a2db916febe"),
+    (build_linf_snake, (9, "even-top"), "4c846128001d75ce2085c43add0d1c3f0f03c34cd390b72d02ac0154a076769a"),
+    (build_linf_snake, (10, "odd-top"), "bc3263f9dfa2d713489b6100d9b1c2556c1f9cdb5add578751255d062d5e4945"),
+    (build_linf_snake, (10, "even-top"), "c7b55ff438f52851639f631f7a35f2ab164421882e9992de2ad3fd5e78026a07"),
+]
+
+
+@pytest.mark.parametrize("build, args, digest", ENCODED_SHA256,
+                         ids=["-".join(map(str, (b.__name__, *a))) for b, a, _ in ENCODED_SHA256])
+def test_every_build_encodes_to_its_recorded_bytes(build, args, digest):
+    # SHA-256 of encode_code, pinning each built code push for push
+    assert hashlib.sha256(encode_code(build(*args)).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n, start, transitions, text", [

@@ -301,7 +301,7 @@ def test_rank_on_random_degree_eleven_permutations():
 def test_cli_import_builds_no_rank_table():
     probe = (
         "import permsnake.cli, permsnake.ksnake as k, permsnake.linf_snake as l; "
-        "print(k._layout.cache_info().currsize, l._index.cache_info().currsize)"
+        "print(*(f.cache_info().currsize for f in (k._index, k._step, l._index)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -311,7 +311,7 @@ def test_cli_import_builds_no_rank_table():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0 0"
+    assert proc.stdout.strip() == "0 0 0"
 
 
 def _refusal(f, *args):
@@ -337,9 +337,9 @@ def test_rank_refuses_entries_that_only_equal_a_codeword(N):
 def test_rank_refuses_a_degree_21_word_the_recursion_would_accept():
     # one rotation class of the degree-21 code, lifted from a degree-19
     # codeword: the recursion ranks it, and the length cap refuses it
-    from permsnake.ksnake import _rank_k, _value_maps
+    from permsnake.ksnake import _rank_k, _step
 
-    up = _value_maps(10, 0)[1]
+    up = _step(21).ups[0]
     word = (1, 2) + tuple(up[v] for v in reversed(unrank_k(9, 5)))
     assert sorted(word) == list(range(1, 22))
     assert isinstance(_rank_k(bytes(word)), int)
@@ -367,6 +367,17 @@ def test_successor_refuses_exactly_the_words_rank_refuses(N):
             assert step == unrank_k(n, (r + 1) % ksnake_size(N))
 
 
+@pytest.mark.parametrize("N", [3, 9, 11])
+def test_successor_reads_an_iterator_once(N):
+    n = (N - 1) // 2
+    w = unrank_k(n, 2)
+    assert successor_k(n, iter(w)) == successor_k(n, w)
+    assert successor_k(n, (v for v in w)) == successor_k(n, w)
+    bad = w[1::-1] + w[2:]
+    assert _refusal(successor_k, n, iter(bad)) == _refusal(rank_k, iter(bad))
+    assert _refusal(successor_k, n, iter(bad)) == f"{bad} is not a codeword of the degree-{N} code"
+
+
 @pytest.mark.parametrize("k", [1.0, True, False, "1", None])
 def test_unrank_refuses_a_rank_that_is_not_an_int(k):
     assert _refusal(unrank_k, 2, k) == f"rank must be an int, got {k!r}"
@@ -377,7 +388,7 @@ def test_an_order_that_is_not_an_int_is_refused_before_any_table(monkeypatch, n)
     def no_table(*args):
         raise AssertionError("a table was read")
 
-    for name in ("_layout", "build_ksnake", "ksnake_size"):
+    for name in ("_index", "_step", "build_ksnake", "ksnake_size"):
         monkeypatch.setattr(ksnake, name, no_table)
     text = f"order n must be an int, got {n!r}"
     assert _refusal(unrank_k, n, 0) == text

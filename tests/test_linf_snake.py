@@ -104,6 +104,19 @@ def test_successor_example():
     assert successor_inf((1, 2, 4, 3)) == 3
 
 
+@pytest.mark.parametrize("n", [4, 10])
+def test_successor_reads_an_iterator_once(n):
+    w = unrank_inf(n, 3)
+    assert successor_inf(iter(w)) == successor_inf(w)
+    assert successor_inf(v for v in w) == successor_inf(w)
+    bad = w[1::-1] + w[2:]
+    with pytest.raises(ValueError) as want:
+        rank_inf(iter(bad))
+    with pytest.raises(ValueError) as got:
+        successor_inf(iter(bad))
+    assert str(got.value) == str(want.value) == f"{bad} is not a codeword of the length-{n} code"
+
+
 @pytest.mark.parametrize("n", range(MIN_LINF_N, MAX_LINF_N + 1))
 def test_successor_walks_the_whole_cycle(n):
     code = build_linf_snake(n)
