@@ -90,6 +90,8 @@ class GrayCode:
         if not in_range:
             t = next(t for t in transitions if not 2 <= t <= self.n)
             raise ValueError(f"transition index {t} out of range 2..{self.n}")
+        if type(self.cyclic) is not bool:
+            raise ValueError(f"cyclic must be a boolean, got {self.cyclic!r}")
         if self.cyclic and not transitions:
             raise ValueError("a cyclic code needs at least one transition")
         object.__setattr__(self, "transitions", transitions)
@@ -338,7 +340,7 @@ def _parse_code(text: str) -> tuple[tuple, Optional[str]]:
         if not isinstance(payload[key], list):
             raise ValueError(f"{key} must be a list of integers")
     if not isinstance(payload["cyclic"], bool):
-        raise ValueError("cyclic must be a boolean")
+        raise ValueError(f"cyclic must be a boolean, got {payload['cyclic']!r}")
     metric = payload.get("metric")
     if metric is not None and metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}, expected one of {METRICS}")

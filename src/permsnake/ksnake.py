@@ -11,10 +11,8 @@ Layout of the degree-N code (degree alphabet: the values [N] minus {1, 3},
 written a_0 = 2, a_i = i+3): 2n-1 cycle segments, one per rotation offset c
 of the a-sequence.  Segment c covers the cycle through sigma_0 = [1, a_c, 3,
 a_{c+1}, ..., a_{c+2n-2}], entered two steps in (at t_N t_3 sigma_0) and
-stitched to the next segment by a t_3.  All segments push alike (_push_at):
-t_N, and each degree N-2 push k as t_{N+1-k}.  build_ksnake builds the
-segment from it; successor_k reads the built code up to degree 9, and
-_push_at above.
+stitched to the next segment by a t_3.  All segments push alike, by the one
+rule build_ksnake writes: t_N, and each degree N-2 push k as t_{N+1-k}.
 
 rank_k / unrank_k agree with build_ksnake's enumeration order, rank 0 at the
 stored start.  Below degree 9 both read one index per degree (_index), built
@@ -26,6 +24,9 @@ M_{N-2} rotation classes, one per degree N-2 codeword w: the N rotations
 N-1 and N to 1 and a_j.  So unrank_k lifts and rotates the subcode word, and
 rank_k rotates the word to start with 1, reads j off its second entry and
 maps the rest down by the inverse table; no code above degree 7 is expanded.
+successor_k reads the push at the rank from build_ksnake(N) up to degree 9;
+above it, the push is the position of the next codeword's first entry, the
+same lift unrank_k runs at the next rank.
 
 rank_k is exact: it raises ValueError on every permutation outside the
 code, the index refusing whatever the steps hand down that is not a
@@ -42,12 +43,11 @@ expansion live in permsnake.repro.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import repeat
 from operator import countOf
 from typing import NamedTuple
 
 from .code_model import GrayCode, _ranks
-from .perm_core import MAX_N, Perm, _require_int, check_perm, identity, push_top, sign
+from .perm_core import MAX_N, Perm, _require_int, check_perm, identity, push_top
 
 __all__ = [
     "build_ksnake",
@@ -72,12 +72,6 @@ def ksnake_size(N: int) -> int:
     return m
 
 
-@lru_cache(maxsize=None)
-def _alphabet(n: int) -> tuple[int, ...]:
-    """The order-n alphabet a_0, ..., a_{2n-2}: 2, 4, 5, ..., 2n+1."""
-    return (2, *range(4, 2 * n + 2))
-
-
 def _subcode_origin(n: int) -> int:
     """Rank (in this package's enumeration) of the degree 2n-1 codeword the
     degree 2n+1 recursion anchors at.  2 at the bottom level because the
@@ -99,15 +93,16 @@ def build_ksnake(N: int) -> GrayCode:
     if N == 3:
         return GrayCode(n=3, start=(1, 2, 3), transitions=(3, 3, 3), cyclic=True)
     n = (N - 1) // 2
-    if build_ksnake(N - 2).transitions[_subcode_origin(n)] != N - 2:
+    sub, origin = build_ksnake(N - 2).transitions, _subcode_origin(n)
+    if sub[origin] != N - 2:
         raise AssertionError("subcode origin does not exit on the expected push")
-    segment = tuple(map(_push_at, repeat(N), range(N * ksnake_size(N - 2))))
+    tail = (N,) * (N - 1)
+    segment = (
+        (N,) * (N - 2)
+        + tuple(t for k in sub[origin + 1:] + sub[:origin] for t in (N + 1 - k, *tail))
+        + (3, 3)
+    )
     start = push_top(N, push_top(3, identity(N)))
-    a = _alphabet(n)
-    for c in range(2 * n - 1):
-        head = (1, a[c], 3) + tuple(a[(c + t) % (2 * n - 1)] for t in range(1, 2 * n - 1))
-        if sign(head) != 1:
-            raise AssertionError(f"cycle head {head} is odd; construction broken")
     return GrayCode(n=N, start=start, transitions=segment * (2 * n - 1), cyclic=True)
 
 
@@ -135,8 +130,7 @@ def _step(N: int) -> _Step:
     placeholders N-1 and N, which no subcode word holds, to the head's 1 and
     a_j; down inverts it on the tail values, sending every other byte (1 and
     a_j among them) to 0."""
-    n = (N - 1) // 2
-    a, L = _alphabet(n), N - 2
+    a, L = (2, *range(4, N + 1)), N - 2
     m = ksnake_size(L)
     segments, ups = {}, []
     for j in range(L):
@@ -147,31 +141,13 @@ def _step(N: int) -> _Step:
             down[up[b]] = b
         segments[a[j]] = (N * m * j, bytes(down))
         ups.append(up)
-    return _Step(m, _subcode_origin(n), segments, tuple(ups))
-
-
-def _push_at(N: int, r: int) -> int:
-    """build_ksnake(N).transitions[r], from the segment layout: N repeated
-    N-2 times, then M_{N-2}-1 blocks (N+1-k, then N repeated N-1 times), then
-    3, 3; block b's k is the degree N-2 push at its subcode rank, read from
-    the built code up to degree 9."""
-    m = ksnake_size(N - 2)
-    pos = r % (N * m) - (N - 2)
-    if pos < 0:
-        return N
-    b, off = divmod(pos, N)
-    if b == m - 1:
-        return 3
-    if off:
-        return N
-    k = (_subcode_origin((N - 1) // 2) + b + 1) % m
-    sub = build_ksnake(N - 2).transitions[k] if N - 2 <= MAX_KSNAKE_N else _push_at(N - 2, k)
-    return N + 1 - sub
+    return _Step(m, _subcode_origin((N - 1) // 2), segments, tuple(ups))
 
 
 def successor_k(n: int, sigma: Perm) -> int:
     """Push index from codeword sigma to its cyclic successor, N = 2n+1: the
-    push at rank_k(sigma), read from build_ksnake(N) up to degree 9.
+    push at rank_k(sigma), read from build_ksnake(N) up to degree 9 and from
+    the codeword at the next rank above it.
 
     Raises ValueError when n is not an int or sigma is not a codeword, as
     rank_k does.
@@ -185,7 +161,9 @@ def successor_k(n: int, sigma: Perm) -> int:
         raise ValueError(f"order n = {n} needs a permutation of length {N}, "
                          f"got length {len(sigma)}")
     r = rank_k(sigma)
-    return build_ksnake(N).transitions[r] if N <= MAX_KSNAKE_N else _push_at(N, r)
+    if N <= MAX_KSNAKE_N:
+        return build_ksnake(N).transitions[r]
+    return tuple(sigma).index(_unrank_k(N, (r + 1) % ksnake_size(N))[0]) + 1
 
 
 def rank_k(sigma: Perm) -> int:

@@ -11,9 +11,9 @@ needs two properties guaranteed here:
 
 The recursive builder turns each transition u of the order n-1 code into the
 block t_n, ..., t_n (n-1 times) followed by t_{n-u+1}.  Completeness and
-cyclicity are validated at build time.  build_rmgc returns the GrayCode
-itself, as build_ksnake and build_linf_snake do; code_model.expand of it
-lists every permutation of [n] in rank order, so its index ranks them.
+cyclicity are validated at build time, on code_model._ranks's walk of byte
+forms.  build_rmgc returns the GrayCode itself, as the other builders do;
+code_model.expand of it lists every permutation of [n] in rank order.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 
-from .code_model import GrayCode, expand
+from .code_model import GrayCode, _ranks
 from .perm_core import _require_int, identity
 
 __all__ = ["build_rmgc"]
@@ -64,7 +64,7 @@ def build_rmgc(n: int) -> GrayCode:
         return GrayCode(n=1, start=(1,), transitions=(), cyclic=False)
     transitions = _canonicalize(_raw_transitions(n))
     code = GrayCode(n=n, start=identity(n), transitions=transitions, cyclic=True)
-    visited = len(expand(code))  # raises on duplicates or failed closure
+    visited = len(_ranks(code, "kendall"))  # raises on duplicates or failed closure
     if visited != factorial(n):
         raise ValueError(f"code visits {visited} permutations, expected {factorial(n)}")
     return code

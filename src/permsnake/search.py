@@ -87,6 +87,8 @@ class SearchSpec:
             raise ValueError(f"search supports 2 <= n <= {MAX_SEARCH_N}, got {self.n}")
         if self.metric not in ("kendall", "linf"):
             raise ValueError(f"metric must be 'kendall' or 'linf', got {self.metric!r}")
+        if type(self.cyclic) is not bool:
+            raise ValueError(f"cyclic must be a boolean, got {self.cyclic!r}")
         allowed = self.allowed_transitions
         if allowed is None:
             allowed = tuple(range(2, self.n + 1))

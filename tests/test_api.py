@@ -1,5 +1,6 @@
 """The package's public names: each one resolves, and the module that
-defines it lists it in its own __all__; and what importing the CLI loads."""
+defines it lists it in its own __all__; what importing the CLI loads; and
+that no module imports a name it never uses."""
 
 import ast
 import importlib
@@ -72,3 +73,22 @@ def test_cli_import_loads_no_process_machinery():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+MODULES = sorted(
+    path for path in Path(permsnake.__file__).parent.glob("*.py") if path.name != "__init__.py"
+)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_imported_name_is_used(path):
+    # the package's __init__ imports names to re-export them; no other module does
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []

@@ -135,6 +135,17 @@ def test_a_length_that_is_not_an_int_is_refused(call, args, text):
     assert str(info.value) == text
 
 
+@pytest.mark.parametrize("call, arg, text", [
+    (trivial_upper, 1, "n must be >= 2, got 1"),
+    (linf_upper, 1, "n must be >= 2, got 1"),
+    (ksnake_density, 4, "N must be odd and >= 3, got 4"),
+])
+def test_a_length_below_the_range_is_refused(call, arg, text):
+    with pytest.raises(ValueError) as info:
+        call(arg)
+    assert str(info.value) == text
+
+
 def test_rates_positive_but_below_one_across_range():
     for row in bounds_table(4, 10):
         if row.ksnake_rate is not None:

@@ -491,6 +491,29 @@ def test_rank_rejects_kendall_non_codeword(capsys):
     assert "(3, 5, 1, 2, 4) is not a codeword" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, stdin, error",
+    [
+        (["rank", "--family", "ksnake", "--n", "4", "--perm", "[1,2,3,4]"], "",
+         "the kendall family needs odd n >= 3, got 4"),
+        (["verify", "-"], "", "no code JSON supplied"),
+        (["bounds", "--n-range", "a:b"], "", "--n-range must be integers, got 'a:b'"),
+        (["verify", "-", "--metric", "kendall"],
+         '{"n":3,"start":"abc","transitions":[3,3,3],"cyclic":true}\n',
+         "line 1: start must be a list of integers"),
+        (["verify", "-", "--metric", "kendall"],
+         '{"n":3,"start":[1,2,3],"transitions":3,"cyclic":true}\n',
+         "line 1: transitions must be a list of integers"),
+    ],
+)
+def test_refusals_exit_two_with_their_text(capsys, monkeypatch, argv, stdin, error):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
 def _gen_line(capsys, *args):
     assert run(["gen", *args]) == 0
     return _stdout_lines(capsys)[0]

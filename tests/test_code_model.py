@@ -54,6 +54,20 @@ def test_gray_code_validation():
         GrayCode(n=3, start=(1, 2, 3), transitions=(1,), cyclic=False)
     with pytest.raises(ValueError):
         GrayCode(n=2, start=(1, 2), transitions=(), cyclic=True)
+    with pytest.raises(ValueError, match=r"^start has length 2, expected n=3$"):
+        GrayCode(n=3, start=(1, 2), transitions=(3,), cyclic=False)
+
+
+@pytest.mark.parametrize("cyclic", [1, 0, "no", None])
+def test_gray_code_refuses_a_cyclic_flag_that_is_not_a_bool(cyclic):
+    # cyclic=1 would encode to a line that decode_code refuses
+    with pytest.raises(ValueError, match=f"^cyclic must be a boolean, got {cyclic!r}$"):
+        GrayCode(n=3, start=(1, 2, 3), transitions=(3, 3, 3), cyclic=cyclic)
+
+
+def test_encode_refuses_an_unknown_metric():
+    with pytest.raises(ValueError, match=r"^unknown metric 'l1', expected one of \('kendall', 'linf'\)$"):
+        encode_code(C3, "l1")
 
 
 @pytest.mark.parametrize("t", [1, 4, 256, -1, 10**30])
@@ -484,6 +498,8 @@ def test_decode_malformed_inputs():
         decode_code('{"n":3,"start":[1,2,3],"cyclic":false}')
     with pytest.raises(ValueError):
         decode_code('[1,2,3]')
+    with pytest.raises(ValueError, match="^cyclic must be a boolean, got 1$"):
+        decode_code('{"n":3,"start":[1,2,3],"transitions":[3,3,3],"cyclic":1}')
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,15 @@ def test_size_recursion():
         assert ksnake_size(N) == N * (N - 2) * ksnake_size(N - 2)
 
 
+def test_refusals_of_size_rank_and_unrank():
+    with pytest.raises(ValueError, match="^N must be odd and >= 3, got 4$"):
+        ksnake_size(4)
+    with pytest.raises(ValueError, match="^degree must be odd and >= 3, got 2$"):
+        rank_k((2, 1))
+    with pytest.raises(ValueError, match="^order n must be >= 1, got 0$"):
+        unrank_k(0, 0)
+
+
 def test_degree_three_code_exactly():
     code = build_ksnake(3)
     assert code.cyclic
@@ -107,9 +116,10 @@ def test_successor_walks_the_whole_cycle(N):
 
 @pytest.mark.parametrize("N", [11, 13, 19])
 def test_successor_steps_to_the_next_rank_past_the_build_cap(N):
-    # past MAX_KSNAKE_N no transition list exists to read; the recursion
-    # stops at degree 9, so the samples take in the wrap and the edges of
-    # the first segments and of their subcode blocks
+    # past MAX_KSNAKE_N no transition list exists to read, and the push comes
+    # from the next codeword, lifted one degree per step from the degree-7
+    # index; the samples take in the wrap and the edges of the first
+    # segments and of their subcode blocks
     n, size, M = (N - 1) // 2, ksnake_size(N), ksnake_size(N - 2)
     rng = random.Random(N)
     ranks = rng.sample(range(size), 200) + [size - 1] + [

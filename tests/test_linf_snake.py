@@ -56,6 +56,11 @@ def test_size_refuses_lengths_without_a_construction(n):
         linf_size(n)
 
 
+def test_size_refuses_an_unknown_variant():
+    with pytest.raises(ValueError, match=r"^variant must be one of \('odd-top', 'even-top'\), got 'x'$"):
+        linf_size(6, "x")
+
+
 def test_even_top_strictly_smaller_for_odd_n():
     for n in (5, 7, 9):
         assert linf_size(n, "even-top") < linf_size(n)

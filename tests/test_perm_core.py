@@ -47,6 +47,18 @@ def test_identity_and_is_perm():
             check_perm(bad)
 
 
+@pytest.mark.parametrize("n", [0, MAX_N + 1])
+def test_identity_refuses_a_length_out_of_range(n):
+    with pytest.raises(ValueError, match=f"^n must be in 1..{MAX_N}, got {n}$"):
+        identity(n)
+
+
+@pytest.mark.parametrize("distance", [kendall_distance, linf_distance])
+def test_distances_refuse_two_lengths(distance):
+    with pytest.raises(ValueError, match="^permutations of different sizes$"):
+        distance((1, 2), (1, 2, 3))
+
+
 @pytest.mark.parametrize("bad", [(True, 2), (2, True), (1.0, 2.0, 4.0, 3.0), (1, "a", 3),
                                  (1, 2, None)])
 def test_check_perm_refuses_entries_that_are_not_ints(bad):
@@ -143,6 +155,10 @@ def test_parse_perm_rejections():
         parse_perm("nonsense")
     with pytest.raises(ValueError):
         parse_perm(format_perm(tuple(range(1, MAX_N + 2))))
+    with pytest.raises(ValueError, match="^empty permutation$"):
+        parse_perm("[]")
+    with pytest.raises(ValueError, match=r"^permutation entries must be integers: '\[1,a\]'$"):
+        parse_perm("[1,a]")
 
 
 @given(perm_pairs)

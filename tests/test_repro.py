@@ -38,6 +38,13 @@ def test_octal_rejects_bad_digits():
         parse_octal_code(4, "58")
     with pytest.raises(ValueError):
         parse_octal_code(4, "")
+    with pytest.raises(ValueError, match="^octal codes need n >= 3, got 2$"):
+        parse_octal_code(2, "5")
+
+
+def test_no_recorded_octal_code_past_six():
+    with pytest.raises(ValueError, match="^no recorded octal code for n=7$"):
+        recorded_octal_code(7)
 
 
 def test_octal_rejects_non_closing_bitstring():
@@ -48,8 +55,9 @@ def test_octal_rejects_non_closing_bitstring():
 
 
 def test_emit_requires_two_letter_alphabet():
-    code = build_ksnake(5)  # alphabet {3, 5}, not {n-1, n}
-    with pytest.raises(ValueError):
+    # alphabet {3, 5}, not {n-1, n}; from the identity, so the start check passes
+    code = GrayCode(5, identity(5), build_ksnake(5).transitions, True)
+    with pytest.raises(ValueError, match=r"^octal form needs every transition to be t_n or t_\{n-1\}$"):
         emit_octal_code(code)
 
 
@@ -61,6 +69,11 @@ def test_emit_refuses_what_the_octal_form_cannot_record():
         emit_octal_code(GrayCode(4, (2, 1, 3, 4), transitions, True))
     with pytest.raises(ValueError, match="not cyclic"):
         emit_octal_code(GrayCode(4, identity(4), transitions, False))
+
+
+def test_emit_requires_whole_octal_digits():
+    with pytest.raises(ValueError, match="^octal form needs a transition count divisible by 3$"):
+        emit_octal_code(GrayCode(4, identity(4), (4, 4, 4, 4), True))
 
 
 def test_witness_fixture():
@@ -98,6 +111,13 @@ def test_extend_to_complete_covers_alternating_group():
 def test_extend_to_complete_needs_complement_of_three():
     with pytest.raises(ValueError):
         extend_to_complete(build_ksnake(5))  # complement has 15 words
+
+
+def test_extend_to_complete_needs_a_cyclic_code_of_length_five_or_more():
+    with pytest.raises(ValueError, match="^extend_to_complete expects a cyclic code$"):
+        extend_to_complete(GrayCode(5, identity(5), (5,), False))
+    with pytest.raises(ValueError, match=r"^extend_to_complete needs n >= 5 \(uses a t_5 re-entry\)$"):
+        extend_to_complete(build_ksnake(3))
 
 
 def test_extend_to_complete_checks_the_size_before_enumerating():

@@ -148,6 +148,16 @@ def test_search_spec_validation():
     for allowed, bad in (((3.0, 4), "3.0"), ((True, 3), "True"), ((3, "4"), "'4'")):
         with pytest.raises(ValueError, match=f"^allowed_transitions must hold ints, got {bad}$"):
             SearchSpec(n=4, metric="kendall", allowed_transitions=allowed)
+    with pytest.raises(ValueError, match="^allowed_transitions must not be empty$"):
+        SearchSpec(n=4, metric="kendall", allowed_transitions=())
+
+
+@pytest.mark.parametrize("cyclic", [1, 0, "no", None])
+def test_search_spec_refuses_a_cyclic_flag_that_is_not_a_bool(cyclic):
+    # cyclic=1 searched and handed back a code whose line decode_code refused,
+    # and cyclic="no" ran a cyclic search
+    with pytest.raises(ValueError, match=f"^cyclic must be a boolean, got {cyclic!r}$"):
+        SearchSpec(n=4, metric="kendall", cyclic=cyclic)
 
 
 def test_non_identity_start():
